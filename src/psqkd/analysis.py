@@ -112,43 +112,50 @@ def pipeline_key_rate(src: SourceSpec, ch: ChannelSpec,
 
     Composes the conditional covariance, the channel map and the homodyne
     key-rate calculus, weighting by the scheme's acceptance probability
-    (one for scheme "none").
+    (one for scheme "none").  An array of tap transmittances in src gives
+    a report of arrays, evaluated elementwise by the same code.
     """
     rep = covariance_subtracted(src)
     cov = apply_channel(rep.cov, ch)
     return key_rate_homodyne(cov, beta, success_prob=rep.success_prob)
 
 
-def _rate_at(src: SourceSpec, t: float, ch: ChannelSpec, beta: float) -> float:
-    return pipeline_key_rate(replace(src, t=float(t)), ch, beta).key_rate
+def _rate_at(src: SourceSpec, t, ch: ChannelSpec, beta: float) -> np.ndarray:
+    """Key rate at the tap transmittance(s) t, shaped like t.
+
+    Scheme "none" ignores the tap, so its single rate is broadcast.
+    """
+    rate = pipeline_key_rate(replace(src, t=t), ch, beta).key_rate
+    return np.broadcast_to(rate, np.shape(t))
 
 
-def _band_edge(rate_fn, t_opt, t_bound, target) -> float:
-    """Bisect for the rate crossing between t_opt and t_bound.
+def _band_edges(rate_fn, t_opt, bounds, targets) -> np.ndarray:
+    """Bisect for each rate crossing between t_opt and bounds[i] at targets[i].
 
-    If the rate never drops below target before the grid bound, the band is
+    All edges are bisected together, one array evaluation per step.  If the
+    rate never drops below the target before the grid bound, that band is
     truncated there.
     """
-    if rate_fn(t_bound) >= target:
-        return t_bound
-    lo, hi = t_opt, t_bound
+    bounds = np.asarray(bounds, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    truncated = rate_fn(bounds) >= targets
+    lo, hi = np.full_like(bounds, t_opt), bounds
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if rate_fn(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        above = rate_fn(mid) >= targets
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return np.where(truncated, bounds, 0.5 * (lo + hi))
 
 
 def optimize_t(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
                t_grid: TGrid = TGrid(), with_bands: bool = True) -> OptimumRecord:
     """Maximize the key rate over the tap transmittance.
 
-    Exhaustive grid scan followed by t_grid.refinements zoom passes; no
-    unimodality is assumed, so the returned optimum dominates every
-    evaluated point by construction.  Bands are found by scanning outward
-    from the optimum.
+    Exhaustive grid scan followed by t_grid.refinements zoom passes, each
+    pass one array evaluation of the grid; no unimodality is assumed, so
+    the returned optimum dominates every evaluated point by construction.
+    Bands are found by bisecting outward from the optimum.
     """
     def rate_fn(t):
         return _rate_at(src, t, ch, beta)
@@ -157,7 +164,7 @@ def optimize_t(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
     t_opt, rate_opt = t_grid.lo, -math.inf
     for _ in range(t_grid.refinements + 1):
         pts = t_grid.points(lo, hi)
-        rates = np.array([rate_fn(t) for t in pts])
+        rates = rate_fn(pts)
         i = int(np.argmax(rates))
         if rates[i] > rate_opt:
             t_opt, rate_opt = float(pts[i]), float(rates[i])
@@ -165,21 +172,19 @@ def optimize_t(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
         lo = max(t_grid.lo, t_opt - 0.5 * span)
         hi = min(t_grid.hi, t_opt + 0.5 * span)
     dist = ch.distance_km if ch.distance_km is not None else float("nan")
-    p_opt = covariance_subtracted(replace(src, t=t_opt)).success_prob
+    p_opt = float(covariance_subtracted(replace(src, t=t_opt)).success_prob)
     if rate_opt <= 0.0:
         return OptimumRecord(dist, t_opt, rate_opt, p_opt,
                              (math.nan, math.nan), (math.nan, math.nan), False)
-    bands = []
     if with_bands:
-        for frac in (0.9, 0.5):
-            target = frac * rate_opt
-            bands.append((
-                _band_edge(rate_fn, t_opt, t_grid.lo, target),
-                _band_edge(rate_fn, t_opt, t_grid.hi, target),
-            ))
+        # edges in the order (90% lo, 90% hi, 50% lo, 50% hi)
+        edges = [float(e) for e in _band_edges(
+            rate_fn, t_opt, [t_grid.lo, t_grid.hi] * 2,
+            [0.9 * rate_opt] * 2 + [0.5 * rate_opt] * 2)]
+        band_90, band_50 = tuple(edges[:2]), tuple(edges[2:])
     else:
-        bands = [(math.nan, math.nan)] * 2
-    return OptimumRecord(dist, t_opt, rate_opt, p_opt, bands[0], bands[1], True)
+        band_90 = band_50 = (math.nan, math.nan)
+    return OptimumRecord(dist, t_opt, rate_opt, p_opt, band_90, band_50, True)
 
 
 def tolerable_excess_noise(src: SourceSpec, distance_km: float,
@@ -198,7 +203,7 @@ def tolerable_excess_noise(src: SourceSpec, distance_km: float,
     def rate(eps):
         ch = ChannelSpec(distance_km=distance_km,
                          loss_db_per_km=loss_db_per_km, epsilon=eps)
-        return pipeline_key_rate(src, ch, beta).key_rate
+        return float(pipeline_key_rate(src, ch, beta).key_rate)
 
     if rate(0.0) <= 0.0:
         return 0.0, False
@@ -250,7 +255,7 @@ def max_distance(src: SourceSpec, beta: float = DEFAULT_BETA,
         ch = ChannelSpec(distance_km=d, loss_db_per_km=loss_db_per_km,
                          epsilon=epsilon)
         if t_grid is None:
-            return pipeline_key_rate(src, ch, beta).key_rate
+            return float(pipeline_key_rate(src, ch, beta).key_rate)
         return optimize_t(src, ch, beta, t_grid, with_bands=False).key_rate_opt
 
     if best(0.0) <= rate_floor:
@@ -280,9 +285,10 @@ def landscape(scan: ScanSpec) -> tuple[list[tuple], list[OptimumRecord]]:
         for d in scan.distances_km:
             ch = ChannelSpec(distance_km=d, loss_db_per_km=scan.loss_db_per_km,
                              epsilon=scan.epsilon)
-            for t in scan.t_grid.points():
-                rows.append((label, float(d), float(t),
-                             _rate_at(src, t, ch, scan.beta)))
+            pts = scan.t_grid.points()
+            rates = _rate_at(src, pts, ch, scan.beta)
+            rows.extend((label, float(d), float(t), float(rate))
+                        for t, rate in zip(pts, rates))
             optima.append(optimize_t(src, ch, scan.beta, scan.t_grid))
     return rows, optima
 
@@ -297,11 +303,8 @@ def success_curves(v: float, k_list, t_samples) -> tuple[np.ndarray, dict[int, n
         ts = np.linspace(1.0 / float(t_samples), 1.0, int(t_samples))
     else:
         ts = np.asarray(t_samples, dtype=float)
-    curves = {}
-    for k in k_list:
-        curves[int(k)] = np.array([
-            success_prob_k(SourceSpec.k_photon(v, float(t), int(k))) for t in ts
-        ])
+    curves = {int(k): success_prob_k(SourceSpec.k_photon(v, ts, int(k)))
+              for k in k_list}
     return ts, curves
 
 

@@ -22,7 +22,6 @@ import math
 import os
 import secrets
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -301,25 +300,6 @@ def _resolve_seed(args) -> int:
     return args.seed if args.seed is not None else secrets.randbits(63)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PSQKD_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"PSQKD_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def _pmap(fn, items) -> list:
-    """Order-preserving map, threaded when PSQKD_THREADS asks for it."""
-    items = list(items)
-    workers = min(_thread_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _sigma(diff: float, se: float) -> float:
     if se > 0.0:
         return abs(diff) / se
@@ -351,17 +331,13 @@ def _cmd_fig2(args) -> int:
     labels = _split_list(args.schemes, "--schemes", str)
     distances = _distance_grid(args)
     sources = [_scheme_source(lbl, args.v, 0.5, args.eta_d) for lbl in labels]
-    jobs = [(lbl, src, d) for lbl, src in zip(labels, sources) for d in distances]
-
-    def cell(job):
-        _, src, d = job
-        ch = ChannelSpec(distance_km=d, loss_db_per_km=args.loss, epsilon=args.eps)
-        return optimize_t(src, ch, args.beta, with_bands=False)
-
-    rows = [
-        [lbl, d, rec.t_opt, rec.key_rate_opt, rec.success_prob_at_opt, rec.has_key]
-        for (lbl, _, d), rec in zip(jobs, _pmap(cell, jobs))
-    ]
+    rows = []
+    for lbl, src in zip(labels, sources):
+        for d in distances:
+            ch = ChannelSpec(distance_km=d, loss_db_per_km=args.loss, epsilon=args.eps)
+            rec = optimize_t(src, ch, args.beta, with_bands=False)
+            rows.append([lbl, d, rec.t_opt, rec.key_rate_opt, rec.success_prob_at_opt,
+                         rec.has_key])
     params = _echo(args, ("schemes", "v", "eta_d", "d_lo", "d_hi", "d_step",
                           "eps", "loss", "beta"))
     return _emit(args, params,
@@ -373,16 +349,11 @@ def _cmd_fig3(args) -> int:
     labels = _split_list(args.schemes, "--schemes", str)
     distances = _distance_grid(args)
     sources = [_scheme_source(lbl, args.v, args.t, args.eta_d) for lbl in labels]
-    jobs = [(lbl, src, d) for lbl, src in zip(labels, sources) for d in distances]
-
-    def cell(job):
-        _, src, d = job
-        return tolerable_excess_noise(src, d, args.beta, args.loss)
-
-    rows = [
-        [lbl, d, eps_max, alive]
-        for (lbl, _, d), (eps_max, alive) in zip(jobs, _pmap(cell, jobs))
-    ]
+    rows = []
+    for lbl, src in zip(labels, sources):
+        for d in distances:
+            eps_max, alive = tolerable_excess_noise(src, d, args.beta, args.loss)
+            rows.append([lbl, d, eps_max, alive])
     params = _echo(args, ("schemes", "v", "t", "eta_d", "d_lo", "d_hi", "d_step",
                           "loss", "beta"))
     return _emit(args, params, ["scheme", "distance_km", "eps_max", "alive"], rows)
@@ -398,21 +369,18 @@ def _cmd_fig4(args) -> int:
     distances = _split_list(args.distances, "--distances", float)
     grid = TGrid(args.t_lo, args.t_hi, args.t_count, args.refinements)
     sources = [_scheme_source(lbl, args.v, 0.5, args.eta_d) for lbl in labels]
-    jobs = [(lbl, src, d) for lbl, src in zip(labels, sources) for d in distances]
-
-    def cell(job):
-        _, src, d = job
-        return landscape(ScanSpec((d,), (src,), grid, args.eps, args.loss, args.beta))
-
     surface, optima = [], []
-    for (lbl, _, _), (rows, opts) in zip(jobs, _pmap(cell, jobs)):
-        surface.extend([lbl, d, t, rate] for _, d, t, rate in rows)
-        optima.extend(
-            [lbl, rec.distance_km, rec.t_opt, rec.key_rate_opt,
-             rec.success_prob_at_opt, rec.band_90[0], rec.band_90[1],
-             rec.band_50[0], rec.band_50[1], rec.has_key]
-            for rec in opts
-        )
+    for lbl, src in zip(labels, sources):
+        for d in distances:
+            rows, opts = landscape(ScanSpec((d,), (src,), grid, args.eps, args.loss,
+                                            args.beta))
+            surface.extend([lbl, d, t, rate] for _, d, t, rate in rows)
+            optima.extend(
+                [lbl, rec.distance_km, rec.t_opt, rec.key_rate_opt,
+                 rec.success_prob_at_opt, rec.band_90[0], rec.band_90[1],
+                 rec.band_50[0], rec.band_50[1], rec.has_key]
+                for rec in opts
+            )
     params = _echo(args, ("schemes", "distances", "v", "eta_d", "t_lo", "t_hi",
                           "t_count", "refinements", "eps", "loss", "beta"))
     surface_cols = ["scheme", "distance_km", "t", "key_rate"]
@@ -453,18 +421,13 @@ def _cmd_fig5(args) -> int:
 def _cmd_fig6(args) -> int:
     etas = _split_list(args.eta_list, "--eta-list", float)
     distances = _distance_grid(args)
-    jobs = [(eta, d) for eta in etas for d in distances]
-
-    def cell(job):
-        eta, d = job
+    rows = []
+    for eta in etas:
         src = SourceSpec.k_photon(args.v, args.t, args.k, eta)
-        ch = ChannelSpec(distance_km=d, loss_db_per_km=args.loss, epsilon=args.eps)
-        return pipeline_key_rate(src, ch, args.beta)
-
-    rows = [
-        [eta, d, rep.key_rate, rep.success_prob, rep.is_secure]
-        for (eta, d), rep in zip(jobs, _pmap(cell, jobs))
-    ]
+        for d in distances:
+            ch = ChannelSpec(distance_km=d, loss_db_per_km=args.loss, epsilon=args.eps)
+            rep = pipeline_key_rate(src, ch, args.beta)
+            rows.append([eta, d, rep.key_rate, rep.success_prob, rep.is_secure])
     params = _echo(args, ("v", "t", "k", "eta_list", "d_lo", "d_hi", "d_step",
                           "eps", "loss", "beta"))
     return _emit(args, params,

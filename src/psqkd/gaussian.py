@@ -11,6 +11,13 @@ and a pure two-mode squeezed vacuum of variance V has (v1, v2, phi) =
 (V, V, sqrt(V^2 - 1)).  The key rate is for reverse reconciliation with
 homodyne detection on the second mode, Holevo-bounded collective attacks,
 and an overall success probability multiplying the raw rate.
+
+Array evaluation
+----------------
+The state parameters (v1, v2, phi), a success probability and the results
+may be NumPy arrays: every function here broadcasts elementwise through the
+same code that evaluates scalars, and every range or physicality check
+raises when any element fails it.  Channel parameters stay scalars.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .batch import all_set, any_set, at_least, first_where, sqrt
 from .errors import DomainError, InvalidStateError, SingularityError
 
 LN2 = math.log(2.0)
@@ -35,7 +43,9 @@ class TwoModeCovariance:
 
     The dataclass performs no validation: unphysical parameter triples are
     representable on purpose so that :func:`check_physicality` can be a total
-    function.  Operations that require physicality check it themselves.
+    function.  Operations that require physicality check it themselves.  The
+    parameters may be arrays of one shape, a batch of states; matrix() and
+    as_tuple() are for single states.
     """
 
     v1: float
@@ -108,7 +118,10 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Decomposition of one key-rate evaluation (bits per emitted symbol)."""
+    """Decomposition of one key-rate evaluation (bits per emitted symbol).
+
+    The fields are arrays of one shape for a batch of states.
+    """
 
     mutual_info: float
     holevo: float
@@ -118,73 +131,89 @@ class KeyRateReport:
     beta: float
 
     @property
-    def is_secure(self) -> bool:
-        return self.key_rate > 0.0
+    def is_secure(self):
+        """True iff the key rate is positive (a bool array for a batch)."""
+        secure = self.key_rate > 0.0
+        return secure if isinstance(secure, np.ndarray) else bool(secure)
 
 
-def _symplectic_squared(cov: TwoModeCovariance):
-    """Squared symplectic eigenvalues (lam1^2 >= lam2^2) or None if complex."""
+def _physicality(cov: TwoModeCovariance):
+    """(physical mask, real-spectrum mask, lam2^2, Delta) of cov.
+
+    lam2^2 = (Delta - sqrt(disc))/2 takes the discriminant
+    disc = Delta^2 - 4 det in its factored form
+    (v1 - v2)^2 ((v1 + v2)^2 - 4 phi^2), which vanishes exactly for v1 = v2
+    (lam1 = lam2, as for a pure state), where the difference of squares
+    leaves rounding noise of order sqrt(machine epsilon) in lam2.  A
+    discriminant slightly below zero is rounding and counts as zero.  A
+    state is physical iff its spectrum is real and v1, v2 and lam2 are all
+    >= 1 - PHYSICALITY_TOL (a vacuum sent through a lossy channel comes out
+    with v2 = 1 - 1e-16); a NaN anywhere fails the test.
+    """
     v1, v2, phi = cov.v1, cov.v2, cov.phi
     delta = v1 * v1 + v2 * v2 - 2.0 * phi * phi
-    d = v1 * v2 - phi * phi
-    disc = delta * delta - 4.0 * d * d
-    if disc < 0.0:
-        if disc < -1e-12 * max(1.0, delta * delta):
-            return None
-        disc = 0.0
-    root = math.sqrt(disc)
-    lo = (delta - root) / 2.0
-    hi = (delta + root) / 2.0
-    return hi, lo
+    gap, total = v1 - v2, v1 + v2
+    disc = gap * gap * (total * total - 4.0 * phi * phi)
+    real = disc >= -1e-12 * at_least(delta * delta, 1.0)
+    lo = (delta - sqrt(at_least(disc, 0.0))) / 2.0
+    floor = 1.0 - PHYSICALITY_TOL
+    good = real & (v1 >= floor) & (v2 >= floor) & (lo >= floor * floor)
+    return good, real, lo, delta
 
 
-def check_physicality(cov: TwoModeCovariance) -> bool:
-    """True iff ``cov`` describes a physical state.
+def check_physicality(cov: TwoModeCovariance):
+    """True iff ``cov`` describes a physical state (a bool array for a batch).
 
-    The test is v1, v2 >= 1 together with the smaller symplectic eigenvalue
+    The test is v1, v2 and the smaller symplectic eigenvalue all
     >= 1 - 1e-9.  Total function: never raises.
     """
-    if cov.v1 < 1.0 or cov.v2 < 1.0:
-        return False
-    sq = _symplectic_squared(cov)
-    if sq is None:
-        return False
-    hi, lo = sq
-    if lo < 0.0:
-        return False
-    return math.sqrt(lo) >= 1.0 - PHYSICALITY_TOL
+    with np.errstate(invalid="ignore", over="ignore"):
+        good = _physicality(cov)[0]
+    return good if isinstance(good, np.ndarray) else bool(good)
 
 
-def symplectic_eigenvalues(cov: TwoModeCovariance) -> tuple[float, float]:
+def symplectic_eigenvalues(cov: TwoModeCovariance):
     """Symplectic spectrum (lam1 >= lam2) of a physical standard-form state.
 
     Closed form via the two symplectic invariants
     Delta = v1^2 + v2^2 - 2 phi^2 and det = (v1 v2 - phi^2)^2:
     lam_{1,2}^2 = (Delta +/- sqrt(Delta^2 - 4 (v1 v2 - phi^2)^2)) / 2.
+    The values use this difference of squares as written (the physicality
+    test uses the factored form, see _physicality); near lam1 = lam2 both
+    carry rounding noise of order sqrt(machine epsilon).
     """
-    sq = _symplectic_squared(cov)
-    if sq is None:
-        raise InvalidStateError(f"complex symplectic spectrum for {cov}")
-    hi, lo = sq
-    if lo < 0.0:
-        raise InvalidStateError(f"negative squared symplectic eigenvalue for {cov}")
-    lam1, lam2 = math.sqrt(hi), math.sqrt(lo)
-    if lam2 < 1.0 - PHYSICALITY_TOL or cov.v1 < 1.0 or cov.v2 < 1.0:
+    good, real, lo, delta = _physicality(cov)
+    if not all_set(good):
+        is_real, lo_i, *state = first_where(np.logical_not(good), real, lo,
+                                            cov.v1, cov.v2, cov.phi)
+        state = TwoModeCovariance(*state)
+        if not is_real:
+            raise InvalidStateError(f"complex symplectic spectrum for {state}")
+        if lo_i < 0.0:
+            raise InvalidStateError(f"negative squared symplectic eigenvalue for {state}")
         raise InvalidStateError(
-            f"non-physical covariance {cov}: smallest symplectic eigenvalue {lam2}"
-        )
-    return lam1, lam2
+            f"non-physical covariance {state}: smallest symplectic eigenvalue "
+            f"{math.sqrt(lo_i)}")
+    d = cov.v1 * cov.v2 - cov.phi * cov.phi
+    root = sqrt(at_least(delta * delta - 4.0 * d * d, 0.0))
+    return sqrt((delta + root) / 2.0), sqrt(at_least((delta - root) / 2.0, 0.0))
 
 
-def entropy_term(x: float) -> float:
+def _entropy(x):
+    # special.xlogy evaluates x log x with the C library's log on scalars and
+    # arrays alike, so a batch gives the same bits as its elements one by one.
+    return (special.xlogy(x + 1.0, x + 1.0) - special.xlogy(x, x)) / LN2
+
+
+def entropy_term(x):
     """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0.
 
     ``x`` is the mean thermal photon number (lam - 1)/2 of a symplectic
     eigenvalue lam.
     """
-    if x < 0.0:
-        raise DomainError(f"entropy_term needs x >= 0, got {x}")
-    return float(special.xlogy(x + 1.0, x + 1.0) - special.xlogy(x, x)) / LN2
+    if any_set(x < 0.0):
+        raise DomainError(f"entropy_term needs x >= 0, got {first_where(x < 0.0, x)[0]}")
+    return _entropy(x)
 
 
 def apply_channel(cov: TwoModeCovariance, ch: ChannelSpec) -> TwoModeCovariance:
@@ -193,8 +222,11 @@ def apply_channel(cov: TwoModeCovariance, ch: ChannelSpec) -> TwoModeCovariance:
     (v1, v2, phi) -> (v1, t_c*(v2 + chi), sqrt(t_c)*phi) with
     chi = (1 - t_c)/t_c + epsilon.  t_c = 1, epsilon = 0 is the identity.
     """
-    if not check_physicality(cov):
-        raise InvalidStateError(f"apply_channel needs a physical input, got {cov}")
+    good = _physicality(cov)[0]
+    if not all_set(good):
+        state = TwoModeCovariance(*first_where(np.logical_not(good),
+                                               cov.v1, cov.v2, cov.phi))
+        raise InvalidStateError(f"apply_channel needs a physical input, got {state}")
     return TwoModeCovariance(
         v1=cov.v1,
         v2=ch.t_c * (cov.v2 + ch.chi),
@@ -225,38 +257,35 @@ def key_rate_homodyne(
     """
     if not (0.0 < beta <= 1.0):
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    if not (0.0 <= success_prob <= 1.0):
-        raise DomainError(f"success_prob must lie in [0, 1], got {success_prob}")
+    in_range = (0.0 <= success_prob) & (success_prob <= 1.0)
+    if not all_set(in_range):
+        bad = np.logical_not(in_range)
+        raise DomainError(f"success_prob must lie in [0, 1], got "
+                          f"{first_where(bad, success_prob)[0]}")
     v1, v2, phi = cov.v1, cov.v2, cov.phi
-    if v2 == 0.0:
+    if any_set(v2 == 0.0):
         raise SingularityError("key_rate_homodyne: v2 = 0")
 
     va = (v1 + 1.0) / 2.0
     va_cond = va - phi * phi / (2.0 * v2)
-    if va_cond <= 0.0:
-        raise InvalidStateError(f"negative conditional variance for {cov}")
-    mutual_info = 0.5 * math.log2(va / va_cond)
+    if any_set(va_cond <= 0.0):
+        state = TwoModeCovariance(*first_where(va_cond <= 0.0, v1, v2, phi))
+        raise InvalidStateError(f"negative conditional variance for {state}")
+    mutual_info = 0.5 * np.log2(va / va_cond)
 
     lam1, lam2 = symplectic_eigenvalues(cov)
-    lam3_sq = v1 * (v1 - phi * phi / v2)
-    if lam3_sq < 0.0:
-        if lam3_sq < -1e-9:
-            raise InvalidStateError(f"negative conditional invariant for {cov}")
-        lam3_sq = 0.0
-    lam3 = math.sqrt(lam3_sq)
-
-    def photon_arg(lam):
-        x = (lam - 1.0) / 2.0
-        if x < 0.0:
-            if x < -1e-9:
-                raise InvalidStateError(f"symplectic eigenvalue {lam} below 1")
-            x = 0.0
-        return x
-
+    lam3 = sqrt(at_least(v1 * (v1 - phi * phi / v2), 0.0))
+    x1, x2, x3 = (lam1 - 1.0) / 2.0, (lam2 - 1.0) / 2.0, (lam3 - 1.0) / 2.0
+    # lam1 >= lam2 passed the physicality test, so x1 and x2 are at worst
+    # rounding below zero; the conditional eigenvalue lam3 gets a 2e-9 slack.
+    if any_set(x3 < -1e-9):
+        *state, lam = first_where(x3 < -1e-9, v1, v2, phi, lam3)
+        raise InvalidStateError(f"conditional symplectic eigenvalue {lam} below 1 "
+                                f"for {TwoModeCovariance(*state)}")
     holevo = (
-        entropy_term(photon_arg(lam1))
-        + entropy_term(photon_arg(lam2))
-        - entropy_term(photon_arg(lam3))
+        _entropy(at_least(x1, 0.0))
+        + _entropy(at_least(x2, 0.0))
+        - _entropy(at_least(x3, 0.0))
     )
     raw = beta * mutual_info - holevo
     return KeyRateReport(

@@ -8,6 +8,20 @@ probabilities and equivalent-loss parametrization are computed here in
 closed form.  In the prepare-and-measure picture the same conditioning is a
 classical acceptance filter on Alice's heterodyne data, implemented by
 :func:`filter_q`.
+
+Counter loss has closed forms too.  The tap photon number m is geometric,
+P(m) = (1 - r) r^m with r = lam^2 (1 - T)/(1 - T lam^2), and the counter
+thins it binomially.  Summing the thinned series with
+sum_{m>=k} C(m, k) x^(m-k) = (1 - x)^-(k+1), where x = (1 - eta_d) r, gives
+
+    P(k clicks) = (1 - r) (eta_d r)^k / (1 - x)^(k+1),
+    <vt | k>    = (k + 1) / ((1 - x)(1 - T lam^2)),
+
+and the on-off scheme follows from the k = 0 term.  For eta_d = 1 (x = 0)
+these are the ideal-counter laws, evaluated by the same expressions.
+
+The tap transmittance T may be a NumPy array: every closed form here
+broadcasts over it, through the same code that evaluates a scalar T.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .batch import all_set, first_where, select, sqrt
 from .errors import DomainError
 from .gaussian import TwoModeCovariance
 
@@ -27,12 +42,6 @@ SCHEME_ON_OFF = "on_off"
 _SCHEMES = (SCHEME_NONE, SCHEME_K_PHOTON, SCHEME_ON_OFF)
 
 K_MAX = 64
-# Mixture series over the number of tap photons: stop once the remaining
-# geometric tail is below this fraction of the partial sum (the click
-# probability can itself be tiny, so the bound must be relative), hard cap
-# on the index either way.
-_SERIES_TAIL = 1e-14
-_SERIES_CAP = 10000
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,8 @@ class SourceSpec:
     scheme "none" disables the tap entirely (t is forced to 1), "k_photon"
     conditions on exactly ``k`` clicks, "on_off" on at least one click.
     eta_d is the counter efficiency; the detected fraction of tap photons.
+    t may be an array of tap transmittances (a list is converted to one);
+    v, k and eta_d are scalars.
     """
 
     v: float
@@ -57,13 +68,18 @@ class SourceSpec:
             raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.scheme == SCHEME_NONE:
             object.__setattr__(self, "t", 1.0)
-        if not (0.0 < self.t <= 1.0):
-            raise DomainError(f"t must lie in (0, 1], got {self.t}")
+        elif isinstance(self.t, (list, tuple)):
+            object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
+        t = self.t
+        in_range = (0.0 < t) & (t <= 1.0)
+        if not all_set(in_range):
+            bad = first_where(np.logical_not(in_range), t)[0]
+            raise DomainError(f"t must lie in (0, 1], got {bad}")
         if self.scheme == SCHEME_K_PHOTON and not (0 <= self.k <= K_MAX):
             raise DomainError(f"k must lie in [0, {K_MAX}], got {self.k}")
         if not (0.0 < self.eta_d <= 1.0):
             raise DomainError(f"eta_d must lie in (0, 1], got {self.eta_d}")
-        if self.t * self.lambda2 >= 1.0:
+        if not all_set(t * self.lambda2 < 1.0):
             raise DomainError("t * lambda^2 must be < 1")
 
     @property
@@ -92,136 +108,87 @@ class SourceSpec:
 class SubtractionReport:
     """Closed-form summary of the conditional state.
 
-    success_prob is the click probability, cov the conditional covariance of
-    the kept pair, and (v_a, eta_a) the equivalent pure-source-plus-loss
-    parameters reproducing cov exactly:
-    cov = (v_a, eta_a*v_a + 1 - eta_a, sqrt(eta_a*(v_a^2 - 1))).
+    success_prob is the click probability, v_tilde the variance of Alice's
+    accepted heterodyne marginal and cov the conditional covariance of the
+    kept pair.  Every field is an array shaped like the source's t when t
+    is an array.
     """
 
     success_prob: float
     v_tilde: float
     cov: TwoModeCovariance
-    eta_a: float
-    v_a: float
+
+    @property
+    def v_a(self):
+        """Variance of the equivalent pure source, cov.v1."""
+        return self.cov.v1
+
+    @property
+    def eta_a(self):
+        """Transmittance of the equivalent loss on mode B.
+
+        (v_a, eta_a) reproduce cov exactly as a pure source of variance v_a
+        whose second mode passed a loss eta_a:
+        cov = (v_a, eta_a*v_a + 1 - eta_a, sqrt(eta_a*(v_a^2 - 1))), so
+        eta_a = (v2 - 1)/(v1 - 1), and 1 in the vacuum limit v1 = 1.
+        """
+        v1, v2 = self.cov.v1, self.cov.v2
+        vacuum = v1 <= 1.0
+        return select(vacuum, 1.0, (v2 - 1.0) / select(vacuum, 1.0, v1 - 1.0))
 
 
-def _ideal_prob_k(lambda2, t, k):
-    """Exact-k tap-photon probability: geometric with polynomial-free weight."""
-    denom = 1.0 - t * lambda2
-    base = (1.0 - lambda2) / denom
-    ratio = lambda2 * (1.0 - t) / denom
-    return base * ratio**k
+def _tap_law(src: SourceSpec):
+    """(1 - T lam^2, r, x): the geometric tap-photon ratio r and x = (1 - eta_d) r."""
+    denom = 1.0 - src.t * src.lambda2
+    r = src.lambda2 * (1.0 - src.t) / denom
+    return denom, r, (1.0 - src.eta_d) * r
 
 
-def success_prob_k(src: SourceSpec, k: int | None = None) -> float:
-    """Probability of exactly k clicks with an ideal counter (eta_d folded in
-    when the source carries one).
+def success_prob_k(src: SourceSpec, k: int | None = None):
+    """Probability of exactly k clicks (k defaults to the source's count).
 
-    For eta_d = 1 this is the two-parameter geometric law
-    (1 - lam^2)/(1 - T lam^2) * (lam^2 (1-T)/(1 - T lam^2))^k; for eta_d < 1
-    it is the binomially thinned mixture over tap photon numbers.
+    (1 - lam^2)/(1 - T lam^2) * (eta_d r)^k / (1 - x)^(k+1), the closed sum
+    of the binomially thinned geometric tap law (module docstring); for an
+    ideal counter, x = 0 leaves the geometric law itself.
     """
     if k is None:
         k = src.k
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    if src.eta_d == 1.0:
-        return _ideal_prob_k(src.lambda2, src.t, k)
-    weights, _ = _mixture_weights(src.lambda2, src.t, k, src.eta_d)
-    return float(weights.sum())
+    denom, r, x = _tap_law(src)
+    base = (1.0 - src.lambda2) / denom
+    return base * np.power(src.eta_d * r, k) / np.power(1.0 - x, k + 1)
 
 
-def success_prob_onoff(src: SourceSpec) -> float:
-    """Probability of at least one click.
+def success_prob_onoff(src: SourceSpec):
+    """Probability of at least one click, eta_d r / (1 - x).
 
-    Ideal counter: (1-T) lam^2 / (1 - T lam^2).  Lossy counter: one minus the
-    no-click probability of the thinned tap distribution.
+    One minus the k = 0 term; for an ideal counter (1-T) lam^2 / (1 - T lam^2).
     """
-    lam2, t = src.lambda2, src.t
-    if src.eta_d == 1.0:
-        return (1.0 - t) * lam2 / (1.0 - lam2 * t)
-    weights, _ = _onoff_weights(lam2, t, src.eta_d)
-    return float(weights.sum())
+    _, r, x = _tap_law(src)
+    return src.eta_d * r / (1.0 - x)
 
 
-def v_tilde(src: SourceSpec, k: int | None = None) -> float:
+def v_tilde(src: SourceSpec, k: int | None = None):
     """Conditional variance of Alice's accepted heterodyne marginal.
 
-    Ideal k-click case: (k+1)/(1 - T lam^2).  For k = 0, T = 1 this is the
-    unconditioned heterodyne variance (V+1)/2.
+    Exactly k clicks (k defaults to the source's count):
+    (k+1)/((1 - x)(1 - T lam^2)), which for an ideal counter is
+    (k+1)/(1 - T lam^2); for k = 0, T = 1 this is the unconditioned
+    heterodyne variance (V+1)/2.  On-off sources with k omitted get the
+    variance over all k >= 1 clicks,
+    (2 - r - x) / ((1 - r)(1 - x)(1 - T lam^2)), the whole tap law's mean
+    1/((1 - r)(1 - T lam^2)) with the k = 0 branch taken out.  A dark tap
+    (r = 0) keeps the limiting values of these formulas.
     """
+    denom, r, x = _tap_law(src)
+    if k is None and src.scheme == SCHEME_ON_OFF:
+        return (2.0 - r - x) / ((1.0 - r) * (1.0 - x) * denom)
     if k is None:
         k = src.k
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    return (k + 1.0) / (1.0 - src.t * src.lambda2)
-
-
-def _mixture_weights(lambda2, t, k, eta_d):
-    """Unnormalized weights over the tap photon number m >= k for k clicks.
-
-    w_m = P(m) * C(m, k) * eta^k * (1-eta)^(m-k).  Series is truncated once
-    the exact geometric tail bound drops below _SERIES_TAIL.
-    Returns (weights, m_values).
-    """
-    denom = 1.0 - t * lambda2
-    base = (1.0 - lambda2) / denom
-    ratio = lambda2 * (1.0 - t) / denom
-    if ratio == 0.0:
-        # Tap is dark: only m = k = 0 has support.
-        if k == 0:
-            return np.array([base]), np.array([0])
-        return np.array([0.0]), np.array([k])
-    log_base = math.log(base)
-    log_ratio = math.log(ratio)
-    log_eta = math.log(eta_d)
-    log_miss = math.log1p(-eta_d) if eta_d < 1.0 else -math.inf
-
-    weights, ms = [], []
-    m = k
-    total = 0.0
-    log_w = log_base + m * log_ratio + k * log_eta  # C(k,k) = 1, (1-eta)^0 = 1
-    while m < _SERIES_CAP:
-        w = math.exp(log_w)
-        weights.append(w)
-        ms.append(m)
-        total += w
-        if eta_d == 1.0:
-            break
-        # w_{m+1}/w_m = ratio*(1-eta)*(m+1)/(m+1-k), decreasing toward ratio*(1-eta).
-        step = log_ratio + log_miss + math.log((m + 1.0) / (m + 1.0 - k))
-        log_w += step
-        r = math.exp(step)
-        if r < 1.0 and w * r / (1.0 - r) < _SERIES_TAIL * total:
-            break
-        m += 1
-    return np.asarray(weights), np.asarray(ms)
-
-
-def _onoff_weights(lambda2, t, eta_d):
-    """Unnormalized weights over tap photon number m >= 1 for at-least-one click.
-
-    w_m = P(m) * (1 - (1-eta)^m).
-    """
-    denom = 1.0 - t * lambda2
-    base = (1.0 - lambda2) / denom
-    ratio = lambda2 * (1.0 - t) / denom
-    if ratio == 0.0:
-        return np.array([0.0]), np.array([1])
-    weights, ms = [], []
-    pm = base * ratio
-    m = 1
-    total = 0.0
-    while m < _SERIES_CAP:
-        w = pm * (1.0 - (1.0 - eta_d) ** m)
-        weights.append(w)
-        ms.append(m)
-        total += w
-        if total > 0.0 and pm * ratio / (1.0 - ratio) < _SERIES_TAIL * total:
-            break
-        pm *= ratio
-        m += 1
-    return np.asarray(weights), np.asarray(ms)
+    return (k + 1.0) / ((1.0 - x) * denom)
 
 
 def _cov_from_v_tilde(lam, t, vt) -> TwoModeCovariance:
@@ -229,7 +196,7 @@ def _cov_from_v_tilde(lam, t, vt) -> TwoModeCovariance:
     return TwoModeCovariance(
         v1=2.0 * vt - 1.0,
         v2=2.0 * t * lam * lam * vt + 1.0,
-        phi=2.0 * math.sqrt(t) * lam * vt,
+        phi=2.0 * sqrt(t) * lam * vt,
     )
 
 
@@ -238,40 +205,20 @@ def covariance_subtracted(src: SourceSpec) -> SubtractionReport:
 
     Every conditional component with m tap photons removed has second moments
     linear in its acceptance variance (m+1)/(1 - T lam^2) and zero mean, so
-    any counter model reduces to the weight-averaged variance <vt>; the
-    equivalent-loss form then follows with eta_a = T lam^2 <vt>/(<vt> - 1).
+    any counter model reduces to the weight-averaged variance <vt>
+    (:func:`v_tilde`).
     """
-    lam2, lam, t = src.lambda2, src.lam, src.t
     if src.scheme == SCHEME_NONE:
         vt = (src.v + 1.0) / 2.0
         cov = TwoModeCovariance(src.v, src.v, math.sqrt(src.v**2 - 1.0))
-        return SubtractionReport(1.0, vt, cov, 1.0, src.v)
+        return SubtractionReport(1.0, vt, cov)
 
     if src.scheme == SCHEME_K_PHOTON:
-        if src.eta_d == 1.0:
-            prob = _ideal_prob_k(lambda2=lam2, t=t, k=src.k)
-            vt = v_tilde(src)
-            cov = _cov_from_v_tilde(lam, t, vt)
-            v_a, eta_a = equivalent_loss_params(src)
-            return SubtractionReport(prob, vt, cov, eta_a, v_a)
-        weights, ms = _mixture_weights(lam2, t, src.k, src.eta_d)
+        prob = success_prob_k(src)
     else:
-        weights, ms = _onoff_weights(lam2, t, src.eta_d)
-
-    prob = float(weights.sum())
-    if prob <= 0.0:
-        # Dark tap: conditional moments of the k-click branch still follow the
-        # limiting formulas, harmless because the branch is never realized.
-        vt = v_tilde(src, src.k if src.scheme == SCHEME_K_PHOTON else 1)
-    else:
-        vt_components = (ms + 1.0) / (1.0 - t * lam2)
-        vt = float((weights * vt_components).sum() / prob)
-    cov = _cov_from_v_tilde(lam, t, vt)
-    if vt > 1.0:
-        eta_a = t * lam2 * vt / (vt - 1.0)
-    else:
-        eta_a = 1.0  # vacuum-limit branch, cov is then (1, 1, 0)
-    return SubtractionReport(prob, vt, cov, eta_a, 2.0 * vt - 1.0)
+        prob = success_prob_onoff(src)
+    vt = v_tilde(src)
+    return SubtractionReport(prob, vt, _cov_from_v_tilde(src.lam, src.t, vt))
 
 
 def equivalent_loss_params(src: SourceSpec) -> tuple[float, float]:

@@ -7,6 +7,7 @@ pin down entrywise.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,6 +115,55 @@ class TestOptimizeT:
             TGrid(lo=0.0)
         with pytest.raises(DomainError):
             TGrid(lo=0.9, hi=0.5)
+
+
+def scalar_optimum(src, ch, beta, grid):
+    """Reference optimizer: one scalar pipeline call per grid point and per
+    bisection step, the loop that optimize_t replaces with array passes."""
+    def rate(t):
+        return pipeline_key_rate(replace(src, t=float(t)), ch, beta).key_rate
+
+    lo, hi = grid.lo, grid.hi
+    t_opt, rate_opt = grid.lo, -math.inf
+    for _ in range(grid.refinements + 1):
+        pts = grid.points(lo, hi)
+        rates = np.array([rate(t) for t in pts])
+        i = int(np.argmax(rates))
+        if rates[i] > rate_opt:
+            t_opt, rate_opt = float(pts[i]), float(rates[i])
+        span = (hi - lo) / 10.0
+        lo = max(grid.lo, t_opt - 0.5 * span)
+        hi = min(grid.hi, t_opt + 0.5 * span)
+
+    def edge(bound, target):
+        if rate(bound) >= target:
+            return bound
+        a, b = t_opt, bound
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            if rate(mid) >= target:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    bands = [(edge(grid.lo, f * rate_opt), edge(grid.hi, f * rate_opt))
+             for f in (0.9, 0.5)]
+    return t_opt, rate_opt, bands
+
+
+@pytest.mark.parametrize("src", [
+    SourceSpec.k_photon(20.0, 0.5, 1),
+    SourceSpec.k_photon(20.0, 0.5, 2, eta_d=0.6),
+    SourceSpec.on_off(12.0, 0.5, eta_d=0.8),
+])
+def test_array_optimizer_equals_scalar_loop(src):
+    grid = TGrid(count=40, refinements=2)
+    rec = optimize_t(src, channel(60.0), 0.95, grid)
+    t_opt, rate_opt, bands = scalar_optimum(src, channel(60.0), 0.95, grid)
+    assert rec.has_key
+    assert (rec.t_opt, rec.key_rate_opt) == (t_opt, rate_opt)
+    assert [rec.band_90, rec.band_50] == bands
 
 
 class TestTolerableNoise:

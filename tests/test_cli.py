@@ -141,14 +141,6 @@ class TestDeterminism:
         b = run_to_file(tmp_path, argv, "b.csv")
         assert a == b
 
-    def test_worker_pool_assembly_is_ordered(self, tmp_path, monkeypatch):
-        argv = ["fig2", "--schemes", "none,k1", "--d-lo", "0", "--d-hi", "30",
-                "--d-step", "10"]
-        serial = run_to_file(tmp_path, argv, "serial.csv")
-        monkeypatch.setenv("PSQKD_THREADS", "4")
-        threaded = run_to_file(tmp_path, argv, "threaded.csv")
-        assert threaded == serial
-
     def test_auto_seed_is_recorded(self, tmp_path):
         text = run_to_file(tmp_path, ["montecarlo", "--k", "1", "--tc", "0.5",
                                       "--n", "20000"])
@@ -189,11 +181,6 @@ class TestExitCodes:
 
     def test_oracle_needs_a_scheme(self):
         assert main(["oracle", "--v", "6"]) == 1
-
-    def test_bad_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PSQKD_THREADS", "soon")
-        assert main(["fig2", "--schemes", "none", "--d-lo", "0", "--d-hi", "0",
-                     "--d-step", "1", "--out", str(tmp_path / "x.csv")]) == 1
 
 
 class TestSweepCommands:

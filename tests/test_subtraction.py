@@ -1,13 +1,16 @@
 """Conditional-source tests.
 
-Lossy-counter mixtures are checked against independently derived closed
-forms: with r = lam^2 (1-T)/(1 - T lam^2) and y = r (1 - eta),
+Lossy-counter results are checked against the closed forms written out
+here: with r = lam^2 (1-T)/(1 - T lam^2) and y = r (1 - eta),
 
     P(k clicks) = (1 - lam^2)/(1 - T lam^2) * (eta r)^k / (1 - y)^(k+1)
     <vt>        = (k+1) / ((1 - y) (1 - T lam^2))
 
-obtained by summing the thinned negative-binomial series in closed form,
-a route the implementation (term-by-term truncated series) does not use.
+obtained by summing the thinned negative-binomial series.  The module
+evaluates the same closed forms, so the independent check on them is the
+number-basis oracle (tests/test_fock.py, tests/test_properties.py); these
+tests pin the arrangement of the formulas, the ideal-counter limits and
+the on-off mixture.
 """
 
 import math
