@@ -60,7 +60,6 @@ from .montecarlo import (
     ExperimentResult,
     MomentEstimate,
     RescaleSpec,
-    SampleRecord,
     collect_accepted_pairs,
     decoy_partition,
     estimate_moments,
@@ -100,7 +99,6 @@ __all__ = [
     "OptimumRecord",
     "PsqkdError",
     "RescaleSpec",
-    "SampleRecord",
     "ScanSpec",
     "SingularityError",
     "SourceSpec",

@@ -199,11 +199,13 @@ def tolerable_excess_noise(src: SourceSpec, distance_km: float,
     the bracket contract fails, since monotonicity in the noise is an
     observed property rather than a proven one.
     """
+    rep = covariance_subtracted(src)
 
     def rate(eps):
         ch = ChannelSpec(distance_km=distance_km,
                          loss_db_per_km=loss_db_per_km, epsilon=eps)
-        return float(pipeline_key_rate(src, ch, beta).key_rate)
+        cov = apply_channel(rep.cov, ch)
+        return float(key_rate_homodyne(cov, beta, success_prob=rep.success_prob).key_rate)
 
     if rate(0.0) <= 0.0:
         return 0.0, False

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +29,12 @@ from .gaussian import ChannelSpec, TwoModeCovariance
 from .subtraction import SourceSpec, filter_q
 
 _CHUNK = 1 << 20
+# Rows formatted per write by export_records.
+_IO_CHUNK = 1 << 16
+_ROW_FORMAT = "%.17g %.17g %d %.17g\n"
 # Inflation applied to standard-error bands: the accepted marginal has
 # non-Gaussian fourth moments, so the Gaussian SE formulas run a bit small.
 SE_INFLATION = 1.2
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One protocol round: the sender's draws, the filter verdict, the
-    receiver's homodyne outcome (present whether or not the round was kept)."""
-
-    x_a: float
-    p_a: float
-    accepted: bool
-    x_b: float
 
 
 @dataclass(frozen=True)
@@ -69,12 +62,6 @@ class ExperimentRecords:
 
     def __len__(self) -> int:
         return self.x_a.size
-
-    def record(self, i: int) -> SampleRecord:
-        return SampleRecord(
-            x_a=float(self.x_a[i]), p_a=float(self.p_a[i]),
-            accepted=bool(self.accepted[i]), x_b=float(self.x_b[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -158,47 +145,28 @@ class RescaleSpec:
         return math.sqrt((self.v_prime - 1.0) / (self.v_prime + 1.0))
 
 
-def _estimate(x, p, y, acc, n_samples) -> MomentEstimate:
-    """Moment estimators over the accepted subset of one record set."""
-    n_acc = int(np.count_nonzero(acc))
-    if n_acc == 0:
-        raise EstimationError("no accepted samples; cannot estimate moments")
+def _chunk_sums(x, p, y, acc) -> tuple[float, ...]:
+    """Accepted count and raw sums (xx, yy, xy, x, p) of one chunk."""
     xs, ps, ys = x[acc], p[acc], y[acc]
-    m2x = float(xs @ xs) / n_acc
-    m2y = float(ys @ ys) / n_acc
-    m11 = float(xs @ ys) / n_acc
-    mean_x = float(xs.sum()) / n_acc
-    mean_p = float(ps.sum()) / n_acc
-    se_m2x = m2x * math.sqrt(2.0 / n_acc)
-    se_m2y = m2y * math.sqrt(2.0 / n_acc)
-    se_m11 = math.sqrt((m2x * m2y + m11 * m11) / n_acc)
-    rate = n_acc / n_samples
-    return MomentEstimate(
-        cov=TwoModeCovariance(v1=2.0 * m2x - 1.0, v2=m2y, phi=math.sqrt(2.0) * m11),
-        accept_rate=rate,
-        n_samples=n_samples,
-        n_accepted=n_acc,
-        m2_xa=m2x,
-        mean_xa=mean_x,
-        mean_pa=mean_p,
-        se_v1=2.0 * se_m2x,
-        se_v2=se_m2y,
-        se_phi=math.sqrt(2.0) * se_m11,
-        se_m2_xa=se_m2x,
-        se_mean=math.sqrt(m2x / n_acc),
-        se_accept=math.sqrt(max(rate * (1.0 - rate), 1.0 / n_samples) / n_samples),
-    )
+    return (float(np.count_nonzero(acc)), float(xs @ xs), float(ys @ ys),
+            float(xs @ ys), float(xs.sum()), float(ps.sum()))
 
 
-def _estimate_streaming(sums: dict, n_samples: int) -> MomentEstimate:
-    n_acc = int(math.fsum(sums["n"]))
+def _estimate(sums: list[tuple[float, ...]], n_samples: int) -> MomentEstimate:
+    """Moment estimators from per-chunk sums, reduced with math.fsum.
+
+    The fsum of one term is that term, so a single chunk gives the plain
+    accepted-subset moments.
+    """
+    n, xx, yy, xy, sx, sp = (math.fsum(col) for col in zip(*sums))
+    n_acc = int(n)
     if n_acc == 0:
         raise EstimationError("no accepted samples; cannot estimate moments")
-    m2x = math.fsum(sums["xx"]) / n_acc
-    m2y = math.fsum(sums["yy"]) / n_acc
-    m11 = math.fsum(sums["xy"]) / n_acc
-    mean_x = math.fsum(sums["x"]) / n_acc
-    mean_p = math.fsum(sums["p"]) / n_acc
+    m2x = xx / n_acc
+    m2y = yy / n_acc
+    m11 = xy / n_acc
+    mean_x = sx / n_acc
+    mean_p = sp / n_acc
     se_m2x = m2x * math.sqrt(2.0 / n_acc)
     se_m2y = m2y * math.sqrt(2.0 / n_acc)
     se_m11 = math.sqrt((m2x * m2y + m11 * m11) / n_acc)
@@ -242,7 +210,7 @@ def run_experiment(src: SourceSpec, ch: ChannelSpec, n_samples: int, seed: int,
 
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sums = {key: [] for key in ("n", "xx", "yy", "xy", "x", "p")}
+    sums = []
     kept = {key: [] for key in ("x", "p", "y", "a")} if keep_records else None
 
     for i in range(n_chunks):
@@ -253,20 +221,14 @@ def run_experiment(src: SourceSpec, ch: ChannelSpec, n_samples: int, seed: int,
         u = rng.uniform(size=size)
         y = mean_coef * x + rng.normal(0.0, noise_sd, size)
         acc = u < filter_q(x, p, src)
-        xs, ps, ys = x[acc], p[acc], y[acc]
-        sums["n"].append(float(np.count_nonzero(acc)))
-        sums["xx"].append(float(xs @ xs))
-        sums["yy"].append(float(ys @ ys))
-        sums["xy"].append(float(xs @ ys))
-        sums["x"].append(float(xs.sum()))
-        sums["p"].append(float(ps.sum()))
+        sums.append(_chunk_sums(x, p, y, acc))
         if keep_records:
             kept["x"].append(x)
             kept["p"].append(p)
             kept["y"].append(y)
             kept["a"].append(acc)
 
-    estimate = _estimate_streaming(sums, n_samples)
+    estimate = _estimate(sums, n_samples)
     records = None
     if keep_records:
         records = ExperimentRecords(
@@ -340,13 +302,13 @@ def rescale_and_filter(records: ExperimentRecords, spec: RescaleSpec, k: int,
     u = rng.uniform(size=len(records))
     acc = u < filter_q(x, p, src)
     out = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=records.x_b)
-    return out, _estimate(x, p, records.x_b, acc, len(records))
+    return out, _estimate([_chunk_sums(x, p, records.x_b, acc)], len(records))
 
 
 def estimate_moments(records: ExperimentRecords) -> MomentEstimate:
     """Accepted-subset estimators for an existing record set."""
-    return _estimate(records.x_a, records.p_a, records.x_b, records.accepted,
-                     len(records))
+    return _estimate([_chunk_sums(records.x_a, records.p_a, records.x_b,
+                                  records.accepted)], len(records))
 
 
 def decoy_partition(records: ExperimentRecords) -> tuple[ExperimentRecords, ExperimentRecords]:
@@ -363,39 +325,47 @@ def decoy_partition(records: ExperimentRecords) -> tuple[ExperimentRecords, Expe
 
 
 def export_records(records: ExperimentRecords, path: str) -> None:
-    """Write records as columnar text: x_a p_a accepted x_b per line.
+    """Write records as columnar text; a path ending in .gz gzips the stream.
 
-    Floats use full round-trip precision; a path ending in .gz gzips the
-    stream.
+    The format is two header lines, "# columns=x_a p_a accepted x_b" and
+    "# n_samples=<rows>", then one line per round: x_a, p_a, accepted (0 or
+    1) and x_b, separated by single spaces, floats at %.17g so they read
+    back bit for bit.  Rows are formatted and written in chunks of
+    _IO_CHUNK, so memory stays bounded.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
+    n = len(records)
     with opener(path, "wt") as fh:
         fh.write("# columns=x_a p_a accepted x_b\n")
-        fh.write(f"# n_samples={len(records)}\n")
-        for i in range(len(records)):
-            fh.write(
-                f"{records.x_a[i]:.17g} {records.p_a[i]:.17g} "
-                f"{int(records.accepted[i])} {records.x_b[i]:.17g}\n"
-            )
+        fh.write(f"# n_samples={n}\n")
+        for lo in range(0, n, _IO_CHUNK):
+            cols = (col[lo:lo + _IO_CHUNK].tolist() for col in
+                    (records.x_a, records.p_a, records.accepted, records.x_b))
+            fh.write("".join(map(_ROW_FORMAT.__mod__, zip(*cols))))
 
 
 def load_records(path: str) -> ExperimentRecords:
-    """Read a columnar record file written by export_records."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    rows = []
-    with opener(path, "rt") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DomainError(f"malformed record line: {line.strip()!r}")
-            rows.append((float(parts[0]), float(parts[1]),
-                         bool(int(parts[2])), float(parts[3])))
-    if not rows:
+    """Read a columnar record file written by export_records.
+
+    Blank lines and "#" comments are skipped.  A line without exactly four
+    numeric fields, an accepted field other than 0 or 1, or a file without
+    records raises DomainError.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"malformed record file {path}: {exc}") from None
+    if data.shape[0] == 0:
         raise DomainError(f"no records found in {path}")
-    x, p, a, y = zip(*rows)
-    return ExperimentRecords(
-        x_a=np.array(x), p_a=np.array(p),
-        accepted=np.array(a, dtype=bool), x_b=np.array(y),
-    )
+    if data.shape[1] != 4:
+        raise DomainError(f"malformed record file {path}: {data.shape[1]} fields "
+                          "per line, expected 4")
+    x_a, p_a, acc, x_b = np.ascontiguousarray(data.T)
+    valid = (acc == 0.0) | (acc == 1.0)
+    if not valid.all():
+        bad = acc[~valid][0]
+        raise DomainError(f"accepted field must be 0 or 1 in {path}, got {bad:g}")
+    return ExperimentRecords(x_a=x_a, p_a=p_a, accepted=acc == 1.0, x_b=x_b)

@@ -1,5 +1,6 @@
 """Monte Carlo sampler tests: estimator calibration against the analytic
-chain, rescaling, partitioning, and record IO.
+chain, rescaling, partitioning, and record IO (pinned bytes, a round-trip
+property, malformed input).
 
 Statistical checks run at fixed seeds verified to sit inside their 3-sigma
 bands (inflated 20% for moment estimators, whose Gaussian-formula standard
@@ -7,10 +8,15 @@ errors run small on the non-Gaussian accepted subset).  A fresh seed is the
 intended fix if a band check ever trips after a code change.
 """
 
+import gzip
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psqkd.errors import DomainError, EstimationError
 from psqkd.gaussian import ChannelSpec, TwoModeCovariance, apply_channel, key_rate_homodyne
@@ -151,15 +157,6 @@ class TestRunExperiment:
         assert a.estimate == b.estimate
         assert estimate_moments(b.records) == b.estimate
 
-    def test_sample_record_view(self):
-        src = SourceSpec.k_photon(20.0, 0.8, 1)
-        recs = run_experiment(src, IDEAL, 10_000, seed=4).records
-        r = recs.record(17)
-        assert r.x_a == recs.x_a[17]
-        assert r.p_a == recs.p_a[17]
-        assert r.x_b == recs.x_b[17]
-        assert r.accepted == bool(recs.accepted[17])
-
     def test_zero_accepted_raises(self):
         # 64-click filter on a nearly unsqueezed source: acceptance is
         # astronomically small, so every draw is rejected
@@ -274,6 +271,46 @@ class TestDecoyPartition:
         assert len(disc) == 0
 
 
+# Text written by export_records for PINNED_RECORDS: -0.0, subnormals,
+# +-1e300, integral floats (printed without a point) and both verdicts.
+PINNED_TEXT = (
+    "# columns=x_a p_a accepted x_b\n"
+    "# n_samples=5\n"
+    "-0 1.5 1 0\n"
+    "4.9406564584124654e-324 -2.2250738585072014e-308 0 2.5000000000000171e-310\n"
+    "1.0000000000000001e+300 -3 1 -1.0000000000000001e+300\n"
+    "2 0.33333333333333331 0 123456789\n"
+    "0.10000000000000001 -7.25e-05 1 1.7976931348623157e+308\n"
+)
+PINNED_RECORDS = ExperimentRecords(
+    x_a=np.array([-0.0, 5e-324, 1e300, 2.0, 0.1]),
+    p_a=np.array([1.5, -2.2250738585072014e-308, -3.0, 1 / 3, -7.25e-5]),
+    accepted=np.array([True, False, True, False, True]),
+    x_b=np.array([0.0, 2.5e-310, -1e300, 123456789.0, 1.7976931348623157e308]),
+)
+GOOD_LINE = "0.5 -1.25 1 3\n"
+
+
+@st.composite
+def record_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    col = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=n, max_size=n)
+    return ExperimentRecords(
+        x_a=np.array(draw(col)), p_a=np.array(draw(col)),
+        accepted=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+        x_b=np.array(draw(col)),
+    )
+
+
+def assert_bit_identical(back, recs):
+    for name in ("x_a", "p_a", "x_b", "accepted"):
+        got, want = getattr(back, name), getattr(recs, name)
+        assert got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), name
+
+
 class TestRecordsIO:
     def test_round_trip(self, tmp_path):
         src = SourceSpec.k_photon(20.0, 0.8, 1)
@@ -281,12 +318,33 @@ class TestRecordsIO:
         for name in ("records.txt", "records.txt.gz"):
             path = str(tmp_path / name)
             export_records(recs, path)
-            back = load_records(path)
-            assert np.array_equal(back.x_a, recs.x_a)
-            assert np.array_equal(back.p_a, recs.p_a)
-            assert np.array_equal(back.x_b, recs.x_b)
-            assert np.array_equal(back.accepted, recs.accepted)
-            assert back.accepted.dtype == np.bool_
+            assert_bit_identical(load_records(path), recs)
+
+    def test_pinned_bytes(self, tmp_path):
+        for name, read in (("pin.txt", Path.read_bytes),
+                           ("pin.txt.gz", lambda p: gzip.decompress(p.read_bytes()))):
+            path = tmp_path / name
+            export_records(PINNED_RECORDS, str(path))
+            assert read(path) == PINNED_TEXT.encode()
+            assert_bit_identical(load_records(str(path)), PINNED_RECORDS)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(recs=record_sets())
+    def test_round_trip_property(self, recs):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("r.txt", "r.txt.gz"):
+                path = str(Path(tmp) / name)
+                export_records(recs, path)
+                assert_bit_identical(load_records(path), recs)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.txt"
+        path.write_text("# columns=x_a p_a accepted x_b\n" + GOOD_LINE
+                        + "\n   \n# a note\n" + "1e-3 2 0 -4\n")
+        back = load_records(str(path))
+        assert back.x_a.tolist() == [0.5, 1e-3]
+        assert back.accepted.tolist() == [True, False]
+        assert back.x_b.tolist() == [3.0, -4.0]
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -296,7 +354,20 @@ class TestRecordsIO:
 
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.txt"
-        path.write_text("# columns=x_a p_a accepted x_b\n")
+        path.write_text("# columns=x_a p_a accepted x_b\n# n_samples=0\n")
+        with pytest.raises(DomainError):
+            load_records(str(path))
+
+    @pytest.mark.parametrize("text", [
+        GOOD_LINE + "0.1 0.2 1\n" + GOOD_LINE,      # a short line among good ones
+        GOOD_LINE + "0.1 0.2 1 0.3 0.4\n",          # five fields
+        GOOD_LINE + "0.1 abc 1 0.3\n",              # non-numeric token
+        GOOD_LINE + "0.1 0.2 2 0.3\n",              # accepted outside {0, 1}
+        "",                                         # empty file
+    ])
+    def test_malformed_input_raises(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
         with pytest.raises(DomainError):
             load_records(str(path))
 
