@@ -61,7 +61,6 @@ from .montecarlo import (
     MomentEstimate,
     RescaleSpec,
     collect_accepted_pairs,
-    decoy_partition,
     estimate_moments,
     export_records,
     load_records,
@@ -116,7 +115,6 @@ __all__ = [
     "conditioned_moments",
     "conditioned_photon_populations",
     "covariance_subtracted",
-    "decoy_partition",
     "entropy_term",
     "equivalent_loss_params",
     "estimate_moments",

@@ -641,11 +641,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--export", default=None,
                    help="also write the per-round records to this path")
 
-    p = new("rescale", "pump rescaling demo: reuse records under detector loss",
-            _cmd_rescale)
+    p = new("rescale", "pump rescaling demo: reuse records at another tap "
+            "transmittance", _cmd_rescale)
     p.add_argument("--v", type=float, default=DEFAULT_V, help="source variance")
     p.add_argument("--t0", type=float, default=0.8, help="tap of the recorded run")
-    p.add_argument("--eta", type=float, default=0.5, help="target counter efficiency")
+    p.add_argument("--eta", type=float, default=0.5, help="target tap transmittance")
     p.add_argument("--k", type=int, default=1, help="click count")
     _add_channel(p)
     p.add_argument("--n", type=int, default=1_000_000, help="protocol rounds")

@@ -245,18 +245,22 @@ def equivalent_loss_params(src: SourceSpec) -> tuple[float, float]:
 def filter_q(x_a, p_a, src: SourceSpec):
     """Acceptance probability of Alice's heterodyne outcome (x_a, p_a).
 
-    The virtual-conditioning filter: with u = (1-T) lam^2 (x_a^2 + p_a^2)/2,
-    k-click acceptance is the Poisson weight e^(-u) u^k / k!, on-off
-    acceptance is 1 - e^(-u), and scheme "none" accepts everything.
-    Vectorized over numpy inputs; values lie in [0, 1] with supremum
-    k^k e^(-k)/k! over outcomes for the k-click filter.
+    The virtual-conditioning filter.  Given Alice's outcome, the tap arm
+    holds a coherent state of mean photon number (1-T) lam^2 (x_a^2 + p_a^2)/2,
+    and a counter of efficiency eta_d thins it to
+    u = eta_d (1-T) lam^2 (x_a^2 + p_a^2)/2.  k-click acceptance is the
+    Poisson weight e^(-u) u^k / k!, on-off acceptance is 1 - e^(-u), and
+    scheme "none" accepts everything.  A lossy counter therefore equals an
+    ideal one on outcomes scaled by sqrt(eta_d).  Vectorized over numpy
+    inputs; values lie in [0, 1] with supremum k^k e^(-k)/k! over outcomes
+    for the k-click filter.
     """
     x_a = np.asarray(x_a, dtype=float)
     p_a = np.asarray(p_a, dtype=float)
     if src.scheme == SCHEME_NONE:
         shape = np.broadcast_shapes(x_a.shape, p_a.shape)
         return np.ones(shape) if shape else 1.0
-    u = (1.0 - src.t) * src.lambda2 * (x_a * x_a + p_a * p_a) / 2.0
+    u = src.eta_d * (1.0 - src.t) * src.lambda2 * (x_a * x_a + p_a * p_a) / 2.0
     if src.scheme == SCHEME_ON_OFF:
         q = -np.expm1(-u)
     else:

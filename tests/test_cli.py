@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from psqkd.cli import main, parse_config_lines, read_header_params
+from psqkd.cli import build_parser, main, parse_config_lines, read_header_params
 from psqkd.errors import DomainError
 from psqkd.montecarlo import load_records
 from psqkd.reconciliation import peg_construct, save_alist
@@ -181,6 +181,30 @@ class TestExitCodes:
 
     def test_oracle_needs_a_scheme(self):
         assert main(["oracle", "--v", "6"]) == 1
+
+
+# small sizes for each subcommand that takes a counter efficiency
+ETA_D_ARGS = {
+    "keyrate": ["--k", "1", "--dist", "50"],
+    "fig2": ["--d-hi", "20", "--d-step", "10"],
+    "fig3": ["--d-hi", "10", "--d-step", "10"],
+    "fig4": ["--distances", "50", "--t-count", "32", "--refinements", "0"],
+    "montecarlo": ["--k", "1", "--dist", "50", "--n", "20000", "--seed", "1"],
+    "oracle": ["--v", "6", "--t", "0.8", "--k", "1"],
+}
+
+
+def commands_with_flag(flag):
+    _, subs = build_parser()
+    return sorted(name for name, p in subs.items()
+                  if any(flag in action.option_strings for action in p._actions))
+
+
+@pytest.mark.parametrize("command", commands_with_flag("--eta-d"))
+def test_every_eta_d_command_runs_a_lossy_counter(tmp_path, command):
+    # a subcommand that accepts --eta-d must model that counter, not reject it
+    assert main([command, *ETA_D_ARGS[command], "--eta-d", "0.5",
+                 "--out", str(tmp_path / "out.txt")]) == 0
 
 
 class TestSweepCommands:
