@@ -12,7 +12,7 @@ import numpy as np
 
 from psqkd import ChannelSpec, SourceSpec, collect_accepted_pairs
 from psqkd.reconciliation import (
-    accepted_pairs,
+    OCTONION_BASIS,
     bench,
     decode,
     encode_side_info,
@@ -21,7 +21,7 @@ from psqkd.reconciliation import (
     mu_of_snr,
     non_gaussian_label,
     peg_construct,
-    rotation,
+    rotation_coefficients,
     snr_estimate,
 )
 
@@ -30,9 +30,10 @@ rng = np.random.default_rng(1)
 # one block by hand: the rotation is exact and orthogonal
 x = rng.standard_normal(8)
 y = rng.standard_normal(8)
-m = rotation(x, y)
-err = np.abs(m.matrix @ (x / np.linalg.norm(x)) - y / np.linalg.norm(y)).max()
-gram = np.abs(m.matrix.T @ m.matrix - np.eye(8)).max()
+xu, yu = x / np.linalg.norm(x), y / np.linalg.norm(y)
+m = np.einsum("i,ikj->kj", rotation_coefficients(xu, yu), OCTONION_BASIS)
+err = np.abs(m @ xu - yu).max()
+gram = np.abs(m.T @ m - np.eye(8)).max()
 print(f"one octonion rotation: recovery error {err:.2e}, "
       f"orthogonality defect {gram:.2e}")
 

@@ -11,7 +11,6 @@ syndrome decoding.
 
 from .analysis import (
     OptimumRecord,
-    ScanSpec,
     TGrid,
     beta_from_rate_snr,
     landscape,
@@ -41,8 +40,6 @@ from .fock import (
     build_split_tmsv,
     condition_on_count,
     conditioned_moments,
-    conditioned_photon_populations,
-    photon_number_dist,
     suggested_cutoff,
 )
 from .gaussian import (
@@ -71,9 +68,7 @@ from .subtraction import (
     SourceSpec,
     SubtractionReport,
     covariance_subtracted,
-    equivalent_loss_params,
     filter_q,
-    filter_q_max,
     success_prob_k,
     success_prob_onoff,
     v_tilde,
@@ -98,7 +93,6 @@ __all__ = [
     "OptimumRecord",
     "PsqkdError",
     "RescaleSpec",
-    "ScanSpec",
     "SingularityError",
     "SourceSpec",
     "SubtractionReport",
@@ -113,20 +107,16 @@ __all__ = [
     "collect_accepted_pairs",
     "condition_on_count",
     "conditioned_moments",
-    "conditioned_photon_populations",
     "covariance_subtracted",
     "entropy_term",
-    "equivalent_loss_params",
     "estimate_moments",
     "export_records",
     "filter_q",
-    "filter_q_max",
     "key_rate_homodyne",
     "landscape",
     "load_records",
     "max_distance",
     "optimize_t",
-    "photon_number_dist",
     "pipeline_key_rate",
     "rescale_and_filter",
     "run_experiment",

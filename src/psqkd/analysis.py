@@ -31,6 +31,9 @@ DEFAULT_BETA = 0.95
 DEFAULT_LOSS_DB_PER_KM = 0.2
 # A scheme is considered alive at a distance only above this rate.
 DEFAULT_RATE_FLOOR = 1e-6
+# First noise probe of the tolerable-excess-noise bracket, doubled until
+# the rate turns non-positive.
+_EPS_BRACKET = 0.5
 
 
 @dataclass(frozen=True)
@@ -57,26 +60,6 @@ class TGrid:
     def points(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
         return np.linspace(self.lo if lo is None else lo,
                            self.hi if hi is None else hi, self.count)
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """Landscape sweep: schemes x distances x tap grid under one channel model."""
-
-    distances_km: tuple[float, ...]
-    schemes: tuple[SourceSpec, ...]
-    t_grid: TGrid = TGrid()
-    epsilon: float = DEFAULT_EPSILON
-    loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM
-    beta: float = DEFAULT_BETA
-    rate_floor: float = DEFAULT_RATE_FLOOR
-
-    def __post_init__(self):
-        d = np.asarray(self.distances_km, dtype=float)
-        if d.size == 0 or d.min() < 0.0 or np.any(np.diff(d) <= 0.0):
-            raise DomainError("distances must be non-negative and strictly increasing")
-        if not self.schemes:
-            raise DomainError("at least one scheme is required")
 
 
 @dataclass(frozen=True)
@@ -187,10 +170,24 @@ def optimize_t(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
     return OptimumRecord(dist, t_opt, rate_opt, p_opt, band_90, band_50, True)
 
 
+def _bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] until narrower than tol, keeping pred(lo) true.
+
+    pred(hi) is taken to be false; the last bracket is returned.
+    """
+    while hi - lo >= tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def tolerable_excess_noise(src: SourceSpec, distance_km: float,
                            beta: float = DEFAULT_BETA,
-                           loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM,
-                           eps_hi: float = 0.5) -> tuple[float, bool]:
+                           loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM
+                           ) -> tuple[float, bool]:
     """Largest excess noise with a positive key rate at the given distance.
 
     Returns (eps_max, alive); alive is False (and eps_max 0) when the rate
@@ -207,20 +204,17 @@ def tolerable_excess_noise(src: SourceSpec, distance_km: float,
         cov = apply_channel(rep.cov, ch)
         return float(key_rate_homodyne(cov, beta, success_prob=rep.success_prob).key_rate)
 
-    if rate(0.0) <= 0.0:
+    def positive(eps):
+        return rate(eps) > 0.0
+
+    if not positive(0.0):
         return 0.0, False
-    hi = eps_hi
-    while rate(hi) > 0.0:
+    hi = _EPS_BRACKET
+    while positive(hi):
         hi *= 2.0
         if hi > 1e4:
             raise DomainError("no finite noise threshold found below 1e4")
-    lo = 0.0
-    while hi - lo >= 1e-5:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(positive, 0.0, hi, 1e-5)
     eps_max = 0.5 * (lo + hi)
     delta = 1e-4
     if eps_max > delta and not (rate(eps_max - delta) > 0.0 >= rate(eps_max + delta)):
@@ -229,13 +223,7 @@ def tolerable_excess_noise(src: SourceSpec, distance_km: float,
         vals = np.array([rate(e) for e in grid])
         pos = np.nonzero(vals > 0.0)[0]
         j = pos[-1]
-        lo, hi = grid[j], grid[min(j + 1, grid.size - 1)]
-        while hi - lo >= 1e-5:
-            mid = 0.5 * (lo + hi)
-            if rate(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(positive, grid[j], grid[min(j + 1, grid.size - 1)], 1e-5)
         eps_max = 0.5 * (lo + hi)
     return float(eps_max), True
 
@@ -264,35 +252,18 @@ def max_distance(src: SourceSpec, beta: float = DEFAULT_BETA,
         return 0.0
     if best(d_hi) > rate_floor:
         return d_hi
-    lo, hi = 0.0, d_hi
-    while hi - lo >= resolution_km:
-        mid = 0.5 * (lo + hi)
-        if best(mid) > rate_floor:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(lambda d: best(d) > rate_floor, 0.0, d_hi, resolution_km)[0]
 
 
-def landscape(scan: ScanSpec) -> tuple[list[tuple], list[OptimumRecord]]:
-    """Dense (scheme, distance, t, rate) surface plus per-distance optima.
+def landscape(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
+              t_grid: TGrid = TGrid()) -> tuple[np.ndarray, np.ndarray, OptimumRecord]:
+    """Key rate over the tap grid at one channel, plus the optimum and bands.
 
-    Scheme "none" ignores the tap, so its surface rows are flat in t; they
-    are emitted anyway to keep the table rectangular.
+    Returns (t_grid.points(), rates there, optimize_t's record).  Scheme
+    "none" ignores the tap, so its rates are flat in t.
     """
-    rows = []
-    optima = []
-    for src in scan.schemes:
-        label = scheme_label(src)
-        for d in scan.distances_km:
-            ch = ChannelSpec(distance_km=d, loss_db_per_km=scan.loss_db_per_km,
-                             epsilon=scan.epsilon)
-            pts = scan.t_grid.points()
-            rates = _rate_at(src, pts, ch, scan.beta)
-            rows.extend((label, float(d), float(t), float(rate))
-                        for t, rate in zip(pts, rates))
-            optima.append(optimize_t(src, ch, scan.beta, scan.t_grid))
-    return rows, optima
+    pts = t_grid.points()
+    return pts, _rate_at(src, pts, ch, beta), optimize_t(src, ch, beta, t_grid)
 
 
 def success_curves(v: float, k_list, t_samples) -> tuple[np.ndarray, dict[int, np.ndarray]]:

@@ -30,7 +30,6 @@ from .analysis import (
     DEFAULT_EPSILON,
     DEFAULT_LOSS_DB_PER_KM,
     DEFAULT_V,
-    ScanSpec,
     TGrid,
     beta_from_rate_snr,
     landscape,
@@ -372,15 +371,12 @@ def _cmd_fig4(args) -> int:
     surface, optima = [], []
     for lbl, src in zip(labels, sources):
         for d in distances:
-            rows, opts = landscape(ScanSpec((d,), (src,), grid, args.eps, args.loss,
-                                            args.beta))
-            surface.extend([lbl, d, t, rate] for _, d, t, rate in rows)
-            optima.extend(
-                [lbl, rec.distance_km, rec.t_opt, rec.key_rate_opt,
-                 rec.success_prob_at_opt, rec.band_90[0], rec.band_90[1],
-                 rec.band_50[0], rec.band_50[1], rec.has_key]
-                for rec in opts
-            )
+            ch = ChannelSpec(distance_km=d, loss_db_per_km=args.loss, epsilon=args.eps)
+            pts, rates, rec = landscape(src, ch, args.beta, grid)
+            surface.extend([lbl, d, float(t), float(rate)] for t, rate in zip(pts, rates))
+            optima.append([lbl, rec.distance_km, rec.t_opt, rec.key_rate_opt,
+                           rec.success_prob_at_opt, rec.band_90[0], rec.band_90[1],
+                           rec.band_50[0], rec.band_50[1], rec.has_key])
     params = _echo(args, ("schemes", "distances", "v", "eta_d", "t_lo", "t_hi",
                           "t_count", "refinements", "eps", "loss", "beta"))
     surface_cols = ["scheme", "distance_km", "t", "key_rate"]

@@ -40,8 +40,7 @@ class FockState:
     beamsplitter and photon loss are non-negative reals, so no phases are
     stored.  norm_defect records the squared weight lost to truncation at
     ``cutoff`` photons per mode; the stored amplitudes sum (in squares) to
-    one minus that defect.  Instances are immutable and may be shared across
-    threads.
+    one minus that defect.  Instances are immutable.
     """
 
     na: np.ndarray
@@ -73,17 +72,6 @@ class FockState:
         object.__setattr__(self, "nb1", nb1)
         object.__setattr__(self, "nb2", nb2)
         object.__setattr__(self, "amp", amp)
-
-    def norm_squared(self) -> float:
-        return float(self.amp @ self.amp)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Dense (na, nb1, nb2) amplitude tensor, built on demand."""
-        n1 = self.cutoff + 1
-        dense = np.zeros((n1, n1, n1))
-        dense[self.na, self.nb1, self.nb2] = self.amp
-        return dense
 
 
 @dataclass(frozen=True)
@@ -366,49 +354,3 @@ def condition_on_count(state, k) -> tuple[float, TwoModeCovariance]:
     m = conditioned_moments(state, k)
     return m.prob, m.cov()
 
-
-def conditioned_photon_populations(state, k) -> np.ndarray:
-    """Photon-number law of the sender's kept mode after conditioning.
-
-    Returns the normalized populations over 0..cutoff.
-    """
-    comps = _components(state)
-    pops = np.zeros(comps[0].cutoff + 1)
-    for psi in _slices(state, k):
-        pops += (psi * psi).sum(axis=1)
-    prob = pops.sum()
-    if prob <= _PROB_FLOOR:
-        raise ConditioningError(f"conditioning probability {prob:.3e} is vanishing")
-    return pops / prob
-
-
-def photon_number_dist(v: float, t: float, k: int, n) -> np.ndarray | float:
-    """Closed-form photon-number law of the kept mode after k ideal clicks.
-
-    With x = lam^2 t the distribution is negative binomial,
-    p_n = C(n, k) x^(n-k) (1-x)^(k+1) for n >= k and zero below; at k = 0,
-    t = 1 it reduces to the thermal law of the reduced squeezed source.
-    Vectorized over n.
-    """
-    if v < 1.0:
-        raise DomainError(f"v must be >= 1, got {v}")
-    if not (0.0 < t <= 1.0):
-        raise DomainError(f"t must lie in (0, 1], got {t}")
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    lam2 = (v - 1.0) / (v + 1.0)
-    x = lam2 * t
-    n_arr = np.asarray(n)
-    m = n_arr - k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = (
-            special.gammaln(n_arr + 1)
-            - special.gammaln(k + 1)
-            - special.gammaln(np.maximum(m, 0) + 1)
-            + special.xlogy(m, x)
-            + (k + 1) * math.log1p(-x)
-        )
-    p = np.where(m >= 0, np.exp(log_p), 0.0)
-    if p.shape == ():
-        return float(p)
-    return p

@@ -6,7 +6,7 @@ or lossy counter, and the receiver's homodyne outcome is drawn from its
 exact conditional law through the thermal-loss channel.  Accepted-subset
 moment estimators reconstruct the post-channel covariance in the same
 convention as the analytic chain, with Gaussian-formula standard errors
-(conservatively inflated, since the accepted marginal is not Gaussian).  A
+(which run a little small, since the accepted marginal is not Gaussian).  A
 linear rescaling converts records taken at one tap transmittance into a
 postselection for another, without new quantum data.
 
@@ -20,21 +20,18 @@ from __future__ import annotations
 import gzip
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, EstimationError
 from .gaussian import ChannelSpec, TwoModeCovariance
-from .subtraction import SourceSpec, filter_q
+from .subtraction import SourceSpec, covariance_subtracted, filter_q
 
 _CHUNK = 1 << 20
 # Rows formatted per write by export_records.
 _IO_CHUNK = 1 << 16
 _ROW_FORMAT = "%.17g %.17g %d %.17g\n"
-# Inflation applied to standard-error bands: the accepted marginal has
-# non-Gaussian fourth moments, so the Gaussian SE formulas run a bit small.
-SE_INFLATION = 1.2
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,7 @@ class MomentEstimate:
     phi = sqrt(2) <x_a x_b>, v2 = <x_b^2>, all uncentered over accepted
     records.  m2_xa is the raw accepted second moment of x_a, whose analytic
     target is the conditional heterodyne variance.  Standard errors are the
-    Gaussian fourth-moment formulas, uninflated; band checks multiply by
-    SE_INFLATION.
+    Gaussian fourth-moment formulas, uninflated.
     """
 
     cov: TwoModeCovariance
@@ -89,15 +85,6 @@ class MomentEstimate:
     se_mean: float
     se_accept: float
 
-    def cov_within(self, target: TwoModeCovariance, n_sigma: float = 3.0) -> bool:
-        """Entrywise |estimate - target| <= n_sigma inflated standard errors."""
-        s = n_sigma * SE_INFLATION
-        return (
-            abs(self.cov.v1 - target.v1) <= s * self.se_v1
-            and abs(self.cov.v2 - target.v2) <= s * self.se_v2
-            and abs(self.cov.phi - target.phi) <= s * self.se_phi
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -113,14 +100,14 @@ class RescaleSpec:
     scaled by g, are statistically identical to records of a variance
     v_prime source behind a transmittance-eta tap, because the sent
     amplitude obeys sqrt(eta) lam' g = sqrt(t0) lam.  g and v_prime are
-    derived on construction.
+    derived on construction and cannot be passed in.
     """
 
     v: float
     t0: float
     eta: float
-    g: float = 0.0
-    v_prime: float = 0.0
+    g: float = field(init=False)
+    v_prime: float = field(init=False)
 
     def __post_init__(self):
         if self.v < 1.0:
@@ -252,8 +239,6 @@ def collect_accepted_pairs(src: SourceSpec, ch: ChannelSpec, n_pairs: int,
     """
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be >= 1, got {n_pairs}")
-    from .subtraction import covariance_subtracted
-
     p = covariance_subtracted(src).success_prob
     if p <= 0.0 or n_pairs / p > 4096.0 * _CHUNK:
         raise EstimationError(
@@ -345,7 +330,9 @@ def load_records(path: str) -> ExperimentRecords:
     if data.shape[1] != 4:
         raise DomainError(f"malformed record file {path}: {data.shape[1]} fields "
                           "per line, expected 4")
-    x_a, p_a, acc, x_b = np.ascontiguousarray(data.T)
+    # column views of the one loaded block; a contiguous copy would double
+    # the peak memory of a load
+    x_a, p_a, acc, x_b = data.T
     valid = (acc == 0.0) | (acc == 1.0)
     if not valid.all():
         bad = acc[~valid][0]

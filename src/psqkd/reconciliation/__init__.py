@@ -20,10 +20,8 @@ from .multidim import (
 )
 from .rotation import (
     OCTONION_BASIS,
-    RotationMap,
     apply_rotation,
     frame,
-    rotation,
     rotation_coefficients,
 )
 
@@ -31,7 +29,6 @@ __all__ = [
     "BenchReport",
     "LdpcCode",
     "OCTONION_BASIS",
-    "RotationMap",
     "accepted_pairs",
     "apply_rotation",
     "bench",
@@ -47,7 +44,6 @@ __all__ = [
     "mu_of_snr",
     "non_gaussian_label",
     "peg_construct",
-    "rotation",
     "rotation_coefficients",
     "save_alist",
     "snr_estimate",

@@ -2,8 +2,7 @@
 alist interchange.
 
 The decoder wants edge-centric arrays, so LdpcCode stores the bipartite
-graph as parallel edge lists sorted by check, with a precomputed
-permutation for variable-grouped passes.  Construction follows
+graph as parallel edge lists sorted by check.  Construction follows
 progressive-edge-growth with two scale concessions documented on
 peg_construct: the breadth-first search that spreads a new edge away from
 existing short cycles is bounded (depth and reached-set caps), and the
@@ -31,8 +30,7 @@ class LdpcCode:
     """Bipartite parity-check graph of n variables and m checks.
 
     edge_var/edge_chk list the endpoints of every edge sorted by check then
-    variable; check_ptr gives reduceat boundaries per check; var_order and
-    var_ptr regroup the same edges by variable.
+    variable; check_ptr gives reduceat boundaries per check.
     """
 
     n: int
@@ -40,8 +38,6 @@ class LdpcCode:
     edge_var: np.ndarray
     edge_chk: np.ndarray
     check_ptr: np.ndarray
-    var_order: np.ndarray
-    var_ptr: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -94,19 +90,10 @@ class LdpcCode:
             raise DomainError("every check must have at least one edge")
         check_ptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(chk_deg, out=check_ptr[1:])
-        var_order = np.argsort(edge_var, kind="stable").astype(np.int64)
-        var_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edge_var, minlength=n), out=var_ptr[1:])
-        for arr in (edge_var, edge_chk, check_ptr, var_order, var_ptr):
+        for arr in (edge_var, edge_chk, check_ptr):
             arr.flags.writeable = False
         return cls(n=n, m=m, edge_var=edge_var, edge_chk=edge_chk,
-                   check_ptr=check_ptr, var_order=var_order, var_ptr=var_ptr)
-
-    def var_lists(self):
-        """Per-variable check lists (ascending), for serialization."""
-        chk_sorted = self.edge_chk[self.var_order]
-        return [np.sort(chk_sorted[self.var_ptr[v]:self.var_ptr[v + 1]])
-                for v in range(self.n)]
+                   check_ptr=check_ptr)
 
 
 def _degree_sequence(n: int, profile: dict) -> np.ndarray:
@@ -124,15 +111,14 @@ def _degree_sequence(n: int, profile: dict) -> np.ndarray:
     return np.repeat(np.array(degs, dtype=np.int32), counts)
 
 
-def peg_construct(n: int, m: int, profile: dict, seed: int,
-                  reach_cap: int = _REACH_CAP, depth_cap: int = _DEPTH_CAP) -> LdpcCode:
+def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
     """Progressive-edge-growth construction of an irregular code.
 
     profile maps variable degree to node fraction, e.g. {2: 0.2, 3: 0.7,
     6: 0.1}.  Variables are placed in ascending degree order; each edge
     goes to the lowest-degree check outside the breadth-first neighborhood
     of the variable, which keeps short cycles out.  At this scale the
-    search is bounded (depth_cap levels, reach_cap reached checks) and
+    search is bounded (_DEPTH_CAP levels, _REACH_CAP reached checks) and
     candidate checks come from a lazy-deletion heap, so the girth guarantee
     is local rather than global; cycle length 4 is still excluded outright.
     Deterministic for a given seed (ties broken by pre-drawn random keys).
@@ -169,8 +155,8 @@ def peg_construct(n: int, m: int, profile: dict, seed: int,
         touched_v = []
         last = level
         reached = level.size
-        for _ in range(depth_cap):
-            if level.size == 0 or reached >= reach_cap:
+        for _ in range(_DEPTH_CAP):
+            if level.size == 0 or reached >= _REACH_CAP:
                 break
             vs = chk_vars[level, :].ravel()
             vs = vs[vs >= 0]
@@ -248,10 +234,11 @@ def peg_construct(n: int, m: int, profile: dict, seed: int,
 
 def save_alist(code: LdpcCode, path: str) -> None:
     """Write the standard alist form (1-indexed, zero-padded rows)."""
-    vlists = code.var_lists()
-    chk_sorted = code.edge_var
-    clists = [np.sort(chk_sorted[code.check_ptr[c]:code.check_ptr[c + 1]])
-              for c in range(code.m)]
+    # edges are sorted by check then variable: each check's variables are
+    # ascending, and a stable sort by variable keeps each variable's checks so
+    by_var = code.edge_chk[np.argsort(code.edge_var, kind="stable")]
+    vlists = np.split(by_var, np.cumsum(code.var_degrees)[:-1])
+    clists = np.split(code.edge_var, code.check_ptr[1:-1])
     dv = max(len(x) for x in vlists)
     dc = max(len(x) for x in clists)
     opener = gzip.open if str(path).endswith(".gz") else open

@@ -13,13 +13,7 @@ A_1 is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from ..errors import DegenerateBlockError
-
-_NORM_FLOOR = 1e-12
 
 
 def _doubled(table):
@@ -91,40 +85,3 @@ def apply_rotation(alpha, w) -> np.ndarray:
     """Apply M = sum_i alpha_i A_i to w, vectorized over leading axes."""
     return np.einsum("...i,...ik->...k", np.asarray(alpha, dtype=float), frame(w))
 
-
-@dataclass(frozen=True)
-class RotationMap:
-    """One rotation instance: coefficients over OCTONION_BASIS."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != (8,):
-            raise DegenerateBlockError(f"alpha must have shape (8,), got {alpha.shape}")
-        alpha.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.einsum("i,ikj->kj", self.alpha, OCTONION_BASIS)
-
-    def apply(self, w) -> np.ndarray:
-        return apply_rotation(self.alpha, w)
-
-
-def rotation(x, y) -> RotationMap:
-    """Rotation map carrying x/|x| to y/|y| exactly.
-
-    Raises DegenerateBlockError when either norm is at or below 1e-12; the
-    caller counts and skips such blocks.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (8,) or y.shape != (8,):
-        raise DegenerateBlockError("rotation expects single 8-vectors")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx <= _NORM_FLOOR or ny <= _NORM_FLOOR:
-        raise DegenerateBlockError(f"block norm below {_NORM_FLOOR:g}; skip and count it")
-    return RotationMap(alpha=rotation_coefficients(x / nx, y / ny))

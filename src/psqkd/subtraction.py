@@ -130,7 +130,8 @@ class SubtractionReport:
         (v_a, eta_a) reproduce cov exactly as a pure source of variance v_a
         whose second mode passed a loss eta_a:
         cov = (v_a, eta_a*v_a + 1 - eta_a, sqrt(eta_a*(v_a^2 - 1))), so
-        eta_a = (v2 - 1)/(v1 - 1), and 1 in the vacuum limit v1 = 1.
+        eta_a = (v2 - 1)/(v1 - 1), and 1 in the vacuum limit v1 = 1.  For an
+        ideal k-click counter this is T lam^2 (k+1)/(k + T lam^2).
         """
         v1, v2 = self.cov.v1, self.cov.v2
         vacuum = v1 <= 1.0
@@ -221,27 +222,6 @@ def covariance_subtracted(src: SourceSpec) -> SubtractionReport:
     return SubtractionReport(prob, vt, _cov_from_v_tilde(src.lam, src.t, vt))
 
 
-def equivalent_loss_params(src: SourceSpec) -> tuple[float, float]:
-    """Pure-source-plus-loss parameters (v_a, eta_a) of the ideal k-click state.
-
-    v_a = 2*(k+1)/(1 - T lam^2) - 1 and eta_a = lam^2 T (k+1)/(k + lam^2 T);
-    the conditional covariance equals a variance-v_a two-mode squeezed vacuum
-    whose second mode passed through transmittance eta_a.  Requires eta_d = 1.
-    """
-    if src.scheme != SCHEME_K_PHOTON:
-        raise DomainError("equivalent_loss_params is defined for the k_photon scheme")
-    if src.eta_d != 1.0:
-        raise DomainError("equivalent_loss_params requires an ideal counter")
-    vt = v_tilde(src)
-    v_a = 2.0 * vt - 1.0
-    lt = src.lambda2 * src.t
-    if src.k == 0:
-        eta_a = 1.0  # no photon removed: plain tap loss is absent from mode B
-    else:
-        eta_a = lt * (src.k + 1.0) / (src.k + lt)
-    return v_a, eta_a
-
-
 def filter_q(x_a, p_a, src: SourceSpec):
     """Acceptance probability of Alice's heterodyne outcome (x_a, p_a).
 
@@ -275,14 +255,3 @@ def filter_q(x_a, p_a, src: SourceSpec):
         return float(q)
     return q
 
-
-def filter_q_max(src: SourceSpec) -> float:
-    """Supremum of the acceptance filter over all heterodyne outcomes."""
-    if src.scheme == SCHEME_NONE:
-        return 1.0
-    if src.scheme == SCHEME_ON_OFF:
-        return 1.0
-    k = src.k
-    if k == 0:
-        return 1.0
-    return math.exp(k * math.log(k) - k - special.gammaln(k + 1.0))

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+from mc_bands import SE_INFLATION, cov_within
 
 from psqkd.analysis import (
     TGrid,
@@ -21,13 +22,13 @@ from psqkd.analysis import (
 from psqkd.fock import apply_detector_loss, build_split_tmsv, condition_on_count
 from psqkd.gaussian import ChannelSpec, TwoModeCovariance, apply_channel
 from psqkd.montecarlo import (
-    SE_INFLATION,
     RescaleSpec,
     collect_accepted_pairs,
     rescale_and_filter,
     run_experiment,
 )
 from psqkd.reconciliation import (
+    OCTONION_BASIS,
     apply_rotation,
     bench,
     decode,
@@ -37,7 +38,6 @@ from psqkd.reconciliation import (
     mu_of_snr,
     non_gaussian_label,
     peg_construct,
-    rotation,
     rotation_coefficients,
 )
 from psqkd.subtraction import SourceSpec, covariance_subtracted, success_prob_k
@@ -216,7 +216,7 @@ def test_monte_carlo_matches_analytics_at_ten_million_rounds():
     ok_accept = abs(est.accept_rate - rep.success_prob) < band * est.se_accept
     ok_vt = (abs(rep.v_tilde - 7.24138) < 1e-5
              and abs(est.m2_xa - rep.v_tilde) < band * est.se_m2_xa)
-    ok_cov = est.cov_within(post, 3.0)
+    ok_cov = cov_within(est, post, 3.0)
     elapsed = time.perf_counter() - t0
     verdict("Monte Carlo consistency at N=1e7", ok_accept and ok_vt and ok_cov,
             elapsed, 300.0,
@@ -247,7 +247,7 @@ def test_pump_rescaling_identity_and_statistics():
     fresh = covariance_subtracted(SourceSpec.k_photon(spec.v_prime, 0.5, 1))
     post = apply_channel(fresh.cov, ch)
     band = 3.0 * SE_INFLATION
-    ok_stats = (est.cov_within(post, 3.0)
+    ok_stats = (cov_within(est, post, 3.0)
                 and abs(est.accept_rate - fresh.success_prob)
                 < band * est.se_accept
                 and abs(est.m2_xa - fresh.v_tilde) < band * est.se_m2_xa)
@@ -287,11 +287,8 @@ def test_reconciliation_suite_and_desk_scale_bench():
     alpha = rotation_coefficients(xu, yu)
     recovery = float(np.abs(apply_rotation(alpha, xu) - yu).max())
     unit_defect = float(np.abs((alpha**2).sum(axis=1) - 1.0).max())
-    gram = 0.0
-    eye = np.eye(8)
-    for i in range(100):
-        m = rotation(x[i], y[i]).matrix
-        gram = max(gram, float(np.abs(m.T @ m - eye).max()))
+    m = np.einsum("ni,ikj->nkj", alpha[:100], OCTONION_BASIS)
+    gram = float(np.abs(np.einsum("nki,nkj->nij", m, m) - np.eye(8)).max())
     ok_rot = recovery < 1e-10 and unit_defect < 1e-10 and gram < 1e-10
 
     # noiseless loopback: every block decodes to the exact bits

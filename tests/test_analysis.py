@@ -14,7 +14,6 @@ import pytest
 
 from psqkd.analysis import (
     OptimumRecord,
-    ScanSpec,
     TGrid,
     beta_from_rate_snr,
     landscape,
@@ -218,28 +217,20 @@ class TestDetectorEfficiency:
 
 class TestLandscape:
     def test_rows_and_optima_shapes(self):
-        scan = ScanSpec(
-            distances_km=(20.0, 60.0),
-            schemes=(SourceSpec.tmsv(20.0), SourceSpec.k_photon(20.0, 0.5, 1)),
-            t_grid=TGrid(count=32, refinements=0),
-        )
-        rows, optima = landscape(scan)
-        assert len(rows) == 2 * 2 * 32
-        assert len(optima) == 4
-        assert all(isinstance(o, OptimumRecord) for o in optima)
+        grid = TGrid(count=32, refinements=0)
+        for src in (SourceSpec.tmsv(20.0), SourceSpec.k_photon(20.0, 0.5, 1)):
+            for d in (20.0, 60.0):
+                pts, rates, rec = landscape(src, channel(d), 0.95, grid)
+                assert pts.shape == rates.shape == (32,)
+                assert isinstance(rec, OptimumRecord)
+                assert rec.distance_km == d
+                # without refinement the optimizer scans the same grid
+                assert rec.key_rate_opt == rates.max()
 
     def test_none_surface_is_flat_in_t(self):
-        scan = ScanSpec(distances_km=(30.0,), schemes=(SourceSpec.tmsv(20.0),),
-                        t_grid=TGrid(count=32, refinements=0))
-        rows, _ = landscape(scan)
-        rates = {r[3] for r in rows}
-        assert len(rates) == 1
-
-    def test_scan_validation(self):
-        with pytest.raises(DomainError):
-            ScanSpec(distances_km=(10.0, 10.0), schemes=(SourceSpec.tmsv(20.0),))
-        with pytest.raises(DomainError):
-            ScanSpec(distances_km=(), schemes=(SourceSpec.tmsv(20.0),))
+        _, rates, _ = landscape(SourceSpec.tmsv(20.0), channel(30.0),
+                                t_grid=TGrid(count=32, refinements=0))
+        assert len(set(rates.tolist())) == 1
 
 
 class TestSuccessCurves:

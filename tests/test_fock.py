@@ -17,8 +17,6 @@ from psqkd.fock import (
     build_split_tmsv,
     condition_on_count,
     conditioned_moments,
-    conditioned_photon_populations,
-    photon_number_dist,
     suggested_cutoff,
 )
 from psqkd.subtraction import (
@@ -59,7 +57,8 @@ class TestBuild:
             lam2 = lam2_of(v)
             # Loose tol: only individual amplitudes matter here, not the tail.
             state = build_split_tmsv(v, t, cutoff=25, tol=1.0)
-            dense = state.amplitudes
+            dense = np.zeros((26, 26, 26))
+            dense[state.na, state.nb1, state.nb2] = state.amp
             for n, l in ((0, 0), (1, 0), (1, 1), (4, 2), (7, 7), (10, 3)):
                 ref = math.sqrt(1.0 - lam2) * lam2 ** (n / 2.0) * math.sqrt(
                     math.comb(n, l) * t ** (n - l) * (1.0 - t) ** l
@@ -79,7 +78,7 @@ class TestBuild:
     def test_norm_defect_exact_and_consistent(self):
         state = build_split_tmsv(6.0, 0.8, cutoff=60, tol=1e-8)
         assert state.norm_defect == pytest.approx((5.0 / 7.0) ** 61, rel=1e-12)
-        assert 1.0 - state.norm_squared() == pytest.approx(state.norm_defect, rel=1e-3)
+        assert 1.0 - state.amp @ state.amp == pytest.approx(state.norm_defect, rel=1e-3)
 
     def test_tight_tolerance_raises_with_suggestion(self):
         # (5/7)^61 = 1.22e-9 sits just above 1e-9, so the same build must
@@ -155,8 +154,8 @@ class TestDetectorLoss:
     def test_kraus_completeness(self):
         state = build_split_tmsv(6.0, 0.8, cutoff=60, tol=1e-8)
         mix = apply_detector_loss(state, 0.6)
-        total = sum(c.norm_squared() for c in mix.components)
-        assert total == pytest.approx(state.norm_squared(), rel=1e-13)
+        total = sum(c.amp @ c.amp for c in mix.components)
+        assert total == pytest.approx(state.amp @ state.amp, rel=1e-13)
 
     def test_validation(self):
         state = build_split_tmsv(2.0, 0.5, cutoff=20)
@@ -254,35 +253,52 @@ class TestConditioning:
             condition_on_count(state, "sometimes")
 
 
+def kept_mode_law(v, t, k, cutoff):
+    """Photon-number law of the sender's kept mode after k ideal clicks.
+
+    Read off the oracle state: the squared amplitudes with k photons in the
+    counter arm, summed per sender photon number and normalized.
+    """
+    state = build_split_tmsv(v, t, cutoff=cutoff)
+    sel = state.nb1 == k
+    pops = np.bincount(state.na[sel], weights=state.amp[sel] ** 2, minlength=cutoff + 1)
+    return pops / pops.sum()
+
+
+def negative_binomial(v, t, k, n):
+    """p_n = C(n, k) x^(n-k) (1-x)^(k+1) for n >= k, x = lam^2 T."""
+    x = lam2_of(v) * t
+    return np.array([math.comb(m, k) * x ** (m - k) * (1.0 - x) ** (k + 1)
+                     if m >= k else 0.0 for m in n])
+
+
 class TestPhotonNumberDist:
+    """The kept mode's photon-number law after k clicks is negative binomial."""
+
     def test_thermal_limit(self):
         v = 5.0
         lam2 = lam2_of(v)
         n = np.arange(20)
         expected = (1.0 - lam2) * lam2**n
-        np.testing.assert_allclose(photon_number_dist(v, 1.0, 0, n), expected, rtol=1e-13)
+        np.testing.assert_allclose(kept_mode_law(v, 1.0, 0, 80)[:20], expected, rtol=1e-9)
 
     def test_single_click_value(self):
         # x = lam^2 T = 4/7, p_1 = (1 - x)^2 = 9/49.
-        assert photon_number_dist(6.0, 0.8, 1, 1) == pytest.approx(9.0 / 49.0, rel=1e-13)
+        assert kept_mode_law(6.0, 0.8, 1, 100)[1] == pytest.approx(9.0 / 49.0, rel=1e-9)
 
     def test_below_count_is_zero(self):
-        assert photon_number_dist(6.0, 0.8, 2, 1) == 0.0
-        assert photon_number_dist(6.0, 0.8, 3, np.array([0, 1, 2])).tolist() == [0, 0, 0]
+        assert kept_mode_law(6.0, 0.8, 2, 100)[1] == 0.0
+        assert kept_mode_law(6.0, 0.8, 3, 100)[:3].tolist() == [0, 0, 0]
 
     def test_normalization_at_wide_cutoff(self):
+        # the closed law keeps all its weight below the cutoff, so the
+        # normalized oracle populations match it unscaled for every count
         for k in (0, 1, 2, 4):
-            p = photon_number_dist(6.0, 0.8, k, np.arange(201))
+            p = negative_binomial(6.0, 0.8, k, range(201))
             assert p.sum() == pytest.approx(1.0, abs=1e-10)
+            np.testing.assert_allclose(kept_mode_law(6.0, 0.8, k, 200), p, atol=1e-10)
 
     def test_matches_oracle_populations(self):
-        state = build_split_tmsv(6.0, 0.8, cutoff=100)
-        pops = conditioned_photon_populations(state, 1)
-        expected = photon_number_dist(6.0, 0.8, 1, np.arange(101))
+        pops = kept_mode_law(6.0, 0.8, 1, 100)
+        expected = negative_binomial(6.0, 0.8, 1, range(101))
         np.testing.assert_allclose(pops, expected, atol=1e-10)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            photon_number_dist(0.9, 0.5, 0, 1)
-        with pytest.raises(DomainError):
-            photon_number_dist(2.0, 0.5, -1, 1)

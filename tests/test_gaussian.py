@@ -165,6 +165,8 @@ class TestChannel:
             ChannelSpec(t_c=0.2, distance_km=50.0, loss_db_per_km=0.2)
         with pytest.raises(DomainError):
             ChannelSpec(distance_km=50.0)
+        with pytest.raises(DomainError):
+            ChannelSpec(distance_km=-1.0, loss_db_per_km=0.2)
 
 
 class TestKeyRate:

@@ -11,19 +11,20 @@ intended fix if a band check ever trips after a code change.
 import gzip
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mc_bands import SE_INFLATION, cov_within
 
 from psqkd.errors import DomainError, EstimationError
 from psqkd.gaussian import ChannelSpec, TwoModeCovariance, apply_channel, key_rate_homodyne
 from psqkd.montecarlo import (
     ExperimentRecords,
     RescaleSpec,
-    SE_INFLATION,
     collect_accepted_pairs,
     estimate_moments,
     export_records,
@@ -89,7 +90,7 @@ class TestRunExperiment:
                     ch = ChannelSpec(t_c=t_c, epsilon=0.01)
                     res = run_experiment(src, ch, 10**7, seed=20260819,
                                          keep_records=False)
-                    ok.append(res.estimate.cov_within(analytic_cov(src, ch)))
+                    ok.append(cov_within(res.estimate, analytic_cov(src, ch)))
         assert all(ok)
 
     def test_on_off_chain_consistency(self):
@@ -97,7 +98,7 @@ class TestRunExperiment:
         ch = ChannelSpec(t_c=0.1, epsilon=0.01)
         res = run_experiment(src, ch, 10**6, seed=5, keep_records=False)
         est = res.estimate
-        assert est.cov_within(analytic_cov(src, ch))
+        assert cov_within(est, analytic_cov(src, ch))
         p = covariance_subtracted(src).success_prob
         assert abs(est.accept_rate - p) <= 3.0 * est.se_accept
 
@@ -189,7 +190,7 @@ class TestLossyCounter:
         ch = ChannelSpec(t_c=0.1, epsilon=0.01)
         est = run_experiment(src, ch, 10**6, seed=21, keep_records=False).estimate
         rep = covariance_subtracted(src)
-        assert est.cov_within(apply_channel(rep.cov, ch))
+        assert cov_within(est, apply_channel(rep.cov, ch))
         assert abs(est.accept_rate - rep.success_prob) <= 3.0 * est.se_accept
         assert abs(est.m2_xa - rep.v_tilde) <= BAND * est.se_m2_xa
 
@@ -248,7 +249,7 @@ class TestRescale:
         src1 = SourceSpec.k_photon(spec.v_prime, spec.eta, 1)
         rep1 = covariance_subtracted(src1)
         assert abs(est.m2_xa - rep1.v_tilde) <= BAND * est.se_m2_xa
-        assert est.cov_within(apply_channel(rep1.cov, ch))
+        assert cov_within(est, apply_channel(rep1.cov, ch))
         assert abs(est.accept_rate - rep1.success_prob) <= 3.0 * est.se_accept
 
     def test_validation(self):
@@ -258,6 +259,12 @@ class TestRescale:
             RescaleSpec(v=20.0, t0=0.0, eta=0.9)
         with pytest.raises(DomainError):
             RescaleSpec(v=20.0, t0=0.8, eta=1.5)
+
+    @pytest.mark.parametrize("name", ["g", "v_prime"])
+    def test_derived_fields_cannot_be_passed(self, name):
+        # g and v_prime follow from (v, t0, eta), so the constructor takes neither
+        with pytest.raises(TypeError):
+            RescaleSpec(20.0, 0.8, 0.5, **{name: 3.0})
 
 
 class TestCollectAcceptedPairs:
@@ -318,10 +325,12 @@ def record_sets(draw):
 
 
 def assert_bit_identical(back, recs):
+    # loaded float columns are strided views of one block; tobytes() reads
+    # them in logical order, so this compares values bit for bit
     for name in ("x_a", "p_a", "x_b", "accepted"):
         got, want = getattr(back, name), getattr(recs, name)
         assert got.dtype == want.dtype
-        assert got.flags.c_contiguous
+        assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
 
 
@@ -397,6 +406,25 @@ class TestRecordsIO:
         for col in (recs.x_a, recs.p_a, recs.accepted, recs.x_b):
             with pytest.raises(ValueError):
                 col[0] = 2.0
+
+    def test_load_peak_memory(self, tmp_path):
+        # the columns are views of the one loaded block, so a load holds the
+        # record data once; a contiguous copy of the columns would double it
+        n = 200_000
+        rng = np.random.default_rng(3)
+        recs = ExperimentRecords(x_a=rng.standard_normal(n), p_a=rng.standard_normal(n),
+                                 accepted=rng.random(n) < 0.3, x_b=rng.standard_normal(n))
+        path = str(tmp_path / "peak.txt")
+        export_records(recs, path)
+        column_bytes = 4 * 8 * n
+        tracemalloc.start()
+        try:
+            back = load_records(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(back) == n
+        assert peak < 1.5 * column_bytes, f"peak {peak / column_bytes:.2f}x the column bytes"
 
     def test_column_validation(self):
         with pytest.raises(DomainError):

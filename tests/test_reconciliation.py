@@ -27,7 +27,6 @@ from psqkd.reconciliation import (
     mu_of_snr,
     non_gaussian_label,
     peg_construct,
-    rotation,
     rotation_coefficients,
     save_alist,
     snr_estimate,
@@ -68,18 +67,30 @@ class TestRotationBasis:
             assert np.abs(f @ f.T - np.eye(8)).max() < 1e-12
 
 
+def unit_coefficients(x, y):
+    """Coefficients of the rotation carrying x/|x| to y/|y|."""
+    return rotation_coefficients(x / np.linalg.norm(x), y / np.linalg.norm(y))
+
+
+def matrix_of(alpha):
+    """The rotation matrix sum_i alpha_i A_i of one coefficient vector."""
+    return np.einsum("i,ikj->kj", alpha, OCTONION_BASIS)
+
+
 class TestRotationMap:
+    """Single rotation instances and their matrices over OCTONION_BASIS."""
+
     def test_identity_instance(self):
         e1 = np.eye(8)[0]
-        m = rotation(e1, e1)
-        assert np.abs(m.apply(e1) - e1).max() < 1e-12
-        assert np.abs(m.matrix - np.eye(8)).max() < 1e-12
+        alpha = unit_coefficients(e1, e1)
+        assert np.abs(apply_rotation(alpha, e1) - e1).max() < 1e-12
+        assert np.abs(matrix_of(alpha) - np.eye(8)).max() < 1e-12
 
     def test_axis_to_axis(self):
         e = np.eye(8)
-        m = rotation(e[0], e[1])
-        assert np.abs(m.apply(e[0]) - e[1]).max() < 1e-12
-        mt = m.matrix
+        alpha = unit_coefficients(e[0], e[1])
+        assert np.abs(apply_rotation(alpha, e[0]) - e[1]).max() < 1e-12
+        mt = matrix_of(alpha)
         assert np.abs(mt.T @ mt - np.eye(8)).max() < 1e-10
 
     def test_random_recovery(self):
@@ -87,10 +98,12 @@ class TestRotationMap:
         for _ in range(100):
             x = rng.standard_normal(8)
             y = rng.standard_normal(8)
-            m = rotation(x, y)
-            got = m.apply(x / np.linalg.norm(x))
+            alpha = unit_coefficients(x, y)
+            xu = x / np.linalg.norm(x)
+            got = apply_rotation(alpha, xu)
             assert np.abs(got - y / np.linalg.norm(y)).max() < 1e-10
-            mt = m.matrix
+            mt = matrix_of(alpha)
+            assert np.abs(mt @ xu - got).max() < 1e-12
             assert np.abs(mt.T @ mt - np.eye(8)).max() < 1e-10
 
     def test_bulk_instances(self):
@@ -106,18 +119,25 @@ class TestRotationMap:
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal(8)
-        y = rng.standard_normal(8)
-        m = rotation(x, y)
+        alpha = unit_coefficients(rng.standard_normal(8), rng.standard_normal(8))
         for _ in range(20):
             w = rng.standard_normal(8) * rng.uniform(0.1, 5.0)
-            assert abs(np.linalg.norm(m.apply(w)) - np.linalg.norm(w)) < 1e-10
+            assert abs(np.linalg.norm(apply_rotation(alpha, w)) - np.linalg.norm(w)) < 1e-10
 
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateBlockError):
-            rotation(np.zeros(8), np.ones(8))
-        with pytest.raises(DegenerateBlockError):
-            rotation(np.ones(8), np.full(8, 1e-14))
+    def test_degenerate_raises(self, code512):
+        # a block at or below the norm floor has no direction to rotate:
+        # both sides raise, and the bench skips and counts the block
+        rng = np.random.default_rng(5)
+        blocks = rng.standard_normal((code512.n // 8, 8))
+        bits = rng.integers(0, 2, code512.n).astype(np.uint8)
+        alpha, _ = encode_side_info(blocks, bits)
+        for tiny in (0.0, 1e-14):
+            bad = blocks.copy()
+            bad[3] = tiny
+            with pytest.raises(DegenerateBlockError):
+                encode_side_info(bad, bits)
+            with pytest.raises(DegenerateBlockError):
+                decode(bad, alpha, code512.syndrome(bits), code512, snr_est=1.0)
 
 
 class TestSphereMapping:

@@ -23,9 +23,7 @@ from psqkd.gaussian import check_physicality
 from psqkd.subtraction import (
     SourceSpec,
     covariance_subtracted,
-    equivalent_loss_params,
     filter_q,
-    filter_q_max,
     success_prob_k,
     success_prob_onoff,
     v_tilde,
@@ -133,7 +131,9 @@ class TestCovariance:
         assert abs(rep.cov.phi - 12.3214) < 1e-3
 
     def test_conditional_matches_equivalent_loss_form(self):
-        # Conditional moments and the (v_a, eta_a) reconstruction agree.
+        # Conditional moments and the (v_a, eta_a) reconstruction agree, with
+        # v_a = 2 vt - 1 and eta_a = lam^2 T (k+1)/(k + lam^2 T) for an ideal
+        # k-click counter written out here.
         rng = np.random.default_rng(99)
         for _ in range(200):
             v = 1.05 + 38.0 * rng.random()
@@ -141,7 +141,11 @@ class TestCovariance:
             k = int(rng.integers(0, 5))
             src = SourceSpec.k_photon(v, t, k)
             rep = covariance_subtracted(src)
-            v_a, eta_a = equivalent_loss_params(src)
+            lt = src.lambda2 * t
+            v_a = 2.0 * (k + 1.0) / (1.0 - lt) - 1.0
+            eta_a = lt * (k + 1.0) / (k + lt) if k else 1.0
+            assert abs(rep.v_a - v_a) < 1e-10 * max(1.0, v_a)
+            assert abs(rep.eta_a - eta_a) < 1e-10
             assert abs(rep.cov.v1 - v_a) < 1e-10 * max(1.0, v_a)
             assert abs(rep.cov.v2 - (eta_a * v_a + 1.0 - eta_a)) < 1e-10 * max(1.0, v_a)
             assert abs(rep.cov.phi - math.sqrt(eta_a * (v_a * v_a - 1.0))) < 1e-10 * max(1.0, v_a)
@@ -184,22 +188,16 @@ class TestCovariance:
         assert abs(rep.v_tilde - num / den) < 1e-8
 
 
+def eta_a(src):
+    return covariance_subtracted(src).eta_a
+
+
 class TestEquivalentLoss:
     def test_values_and_ordering(self):
-        assert equivalent_loss_params(SourceSpec.k_photon(20.0, 0.8, 0))[1] == 1.0
-        _, eta1 = equivalent_loss_params(SourceSpec.k_photon(20.0, 0.8, 1))
-        assert abs(eta1 - 0.83978) < 1e-5
-        etas = [
-            equivalent_loss_params(SourceSpec.k_photon(20.0, 0.8, k))[1]
-            for k in range(1, 5)
-        ]
+        assert eta_a(SourceSpec.k_photon(20.0, 0.8, 0)) == 1.0
+        assert abs(eta_a(SourceSpec.k_photon(20.0, 0.8, 1)) - 0.83978) < 1e-5
+        etas = [eta_a(SourceSpec.k_photon(20.0, 0.8, k)) for k in range(1, 5)]
         assert all(a > b for a, b in zip(etas, etas[1:]))
-
-    def test_requires_ideal_counter(self):
-        with pytest.raises(DomainError):
-            equivalent_loss_params(SourceSpec.k_photon(20.0, 0.8, 1, eta_d=0.5))
-        with pytest.raises(DomainError):
-            equivalent_loss_params(SourceSpec.on_off(20.0, 0.8))
 
 
 class TestFilter:
@@ -218,8 +216,8 @@ class TestFilter:
         rng = np.random.default_rng(17)
         for k in range(0, 6):
             src = SourceSpec.k_photon(20.0, 0.8, k)
-            cap = filter_q_max(src)
-            assert abs(cap - math.exp(k * math.log(k) - k - math.lgamma(k + 1))) < 1e-12 if k else cap == 1.0
+            # the Poisson weight e^(-u) u^k / k! peaks at u = k
+            cap = math.exp(k * math.log(k) - k - math.lgamma(k + 1)) if k else 1.0
             x = rng.normal(scale=5.0, size=2000)
             p = rng.normal(scale=5.0, size=2000)
             q = filter_q(x, p, src)
