@@ -35,7 +35,6 @@ from .errors import (
 from .fock import (
     ConditionedMoments,
     FockState,
-    LossMixture,
     apply_detector_loss,
     build_split_tmsv,
     condition_on_count,
@@ -88,7 +87,6 @@ __all__ = [
     "FockState",
     "InvalidStateError",
     "KeyRateReport",
-    "LossMixture",
     "MomentEstimate",
     "OptimumRecord",
     "PsqkdError",

@@ -485,9 +485,7 @@ def _cmd_oracle(args) -> int:
     if src.scheme == "none":
         raise DomainError("oracle needs a conditioning scheme: pass --k or --on-off")
     cutoff = args.cutoff if args.cutoff is not None else suggested_cutoff(args.v)
-    state = build_split_tmsv(args.v, args.t, cutoff)
-    if args.eta_d != 1.0:
-        state = apply_detector_loss(state, args.eta_d)
+    state = apply_detector_loss(build_split_tmsv(args.v, args.t, cutoff), args.eta_d)
     count = "on_off" if args.on_off else args.k
     prob, cov = condition_on_count(state, count)
     closed = covariance_subtracted(src)

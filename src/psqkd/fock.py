@@ -2,13 +2,15 @@
 
 Everything here recomputes, by direct state-vector numerics, quantities that
 :mod:`psqkd.subtraction` produces in closed form.  A two-mode squeezed vacuum
-is expanded in the photon-number basis, the partner beam is split on the tap
-beamsplitter, the counter arm is degraded by a pure-loss channel, and the
-click outcome is applied as an explicit number projection.  Click
-probabilities and conditional covariances are then read off the surviving
-amplitudes with ladder-operator matrix elements.  This is a cross-validation
-tool, not a performance path: the closed forms stay authoritative at large
-squeezing where the required cutoff grows.
+is expanded in the photon-number basis and the partner beam is split on the
+tap beamsplitter.  Loss in front of the photon counter commutes with the
+number measurement that follows it, so it is carried as the counter's
+efficiency eta: a tap count l registers c counts with the binomial
+probability C(l, c) eta^c (1-eta)^(l-c).  Click probabilities and
+conditional covariances are read off the amplitudes with ladder-operator
+matrix elements, summed per tap count and weighted by that response.  This
+is a cross-validation tool, not a performance path: the closed forms stay
+authoritative at large squeezing where the required cutoff grows.
 
 Mode labels: ``a`` is the mode the sender keeps, ``b1`` feeds the photon
 counter, ``b2`` is transmitted to the receiver.
@@ -17,7 +19,7 @@ counter, ``b2`` is transmitted to the receiver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -33,14 +35,17 @@ _PROB_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class FockState:
-    """Pure three-mode state with sparse real amplitudes.
+    """Pure three-mode state with sparse real amplitudes, and its counter.
 
     Entry ``i`` carries amplitude ``amp[i]`` on the basis ket
-    ``|na[i], nb1[i], nb2[i]>``.  All amplitudes arising from squeezing, a
-    beamsplitter and photon loss are non-negative reals, so no phases are
-    stored.  norm_defect records the squared weight lost to truncation at
-    ``cutoff`` photons per mode; the stored amplitudes sum (in squares) to
-    one minus that defect.  Instances are immutable.
+    ``|na[i], nb1[i], nb2[i]>``.  All amplitudes arising from squeezing and
+    a beamsplitter are non-negative reals, so no phases are stored.
+    norm_defect records the squared weight lost to truncation at ``cutoff``
+    photons per mode; the stored amplitudes sum (in squares) to one minus
+    that defect.  eta_d is the efficiency of the photon counter on mode
+    ``b1``: counter loss acts only on the count statistics, as a binomial
+    response to the tap count, so the amplitudes stay those of the lossless
+    state.  Instances are immutable.
     """
 
     na: np.ndarray
@@ -49,6 +54,7 @@ class FockState:
     amp: np.ndarray
     cutoff: int
     norm_defect: float
+    eta_d: float = 1.0
 
     def __post_init__(self):
         na = np.asarray(self.na, dtype=np.int64)
@@ -64,28 +70,15 @@ class FockState:
                 raise DomainError("mode indices must lie in [0, cutoff]")
         if self.norm_defect < 0.0:
             raise DomainError("norm_defect must be >= 0")
+        if not (0.0 < self.eta_d <= 1.0):
+            raise DomainError(f"eta_d must lie in (0, 1], got {self.eta_d}")
         if amp @ amp > 1.0 + 1e-9:
             raise InvalidStateError("squared amplitudes exceed unit norm")
-        for arr in (na, nb1, nb2, amp):
-            arr.flags.writeable = False
-        object.__setattr__(self, "na", na)
-        object.__setattr__(self, "nb1", nb1)
-        object.__setattr__(self, "nb2", nb2)
-        object.__setattr__(self, "amp", amp)
-
-
-@dataclass(frozen=True)
-class LossMixture:
-    """Ensemble produced by photon loss on the counter arm.
-
-    components[j] is the (sub-normalized) pure state in which exactly j tap
-    photons were lost before detection; its squared norm is the probability
-    of that branch, and the branch norms sum to the parent state's norm.
-    Branches never interfere, so conditional moments are branch sums.
-    """
-
-    components: tuple[FockState, ...]
-    eta_d: float
+        # read-only views: the caller's own arrays stay writeable, nothing is copied
+        for name, arr in (("na", na), ("nb1", nb1), ("nb2", nb2), ("amp", amp)):
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 @dataclass(frozen=True)
@@ -213,121 +206,92 @@ def build_split_tmsv(
     )
 
 
-def apply_detector_loss(state: FockState, eta_d: float) -> LossMixture:
-    """Pure-loss channel of transmittance eta_d on the counter arm.
+def apply_detector_loss(state: FockState, eta_d: float) -> FockState:
+    """Pure-loss channel of transmittance eta_d in front of the counter.
 
-    Photon loss commutes with the later number measurement, so it is applied
-    as Kraus operators labeled by the number of photons lost,
-    K_j |l> = sqrt(C(l, j) eta^(l-j) (1-eta)^j) |l-j>, giving a block
-    ensemble exactly equivalent to binomial thinning of the counter counts.
+    Loss on the counter arm commutes with the number measurement that
+    follows it, so it only thins the counts: the efficiencies of successive
+    losses multiply into the state's eta_d and no amplitude is touched.
     """
     if not (0.0 < eta_d <= 1.0):
         raise DomainError(f"eta_d must lie in (0, 1], got {eta_d}")
-    if eta_d == 1.0:
-        return LossMixture(components=(state,), eta_d=1.0)
-    log_eta = math.log(eta_d)
-    log_miss = math.log1p(-eta_d)
-    max_l = int(state.nb1.max()) if state.nb1.size else 0
-    comps = []
-    for j in range(max_l + 1):
-        sel = state.nb1 >= j
-        l = state.nb1[sel]
-        log_f = 0.5 * (
-            special.gammaln(l + 1)
-            - special.gammaln(j + 1)
-            - special.gammaln(l - j + 1)
-            + (l - j) * log_eta
-            + j * log_miss
-        )
-        comps.append(
-            FockState(
-                na=state.na[sel], nb1=l - j, nb2=state.nb2[sel],
-                amp=state.amp[sel] * np.exp(log_f),
-                cutoff=state.cutoff, norm_defect=state.norm_defect,
-            )
-        )
-    return LossMixture(components=tuple(comps), eta_d=eta_d)
+    return replace(state, eta_d=state.eta_d * eta_d)
 
 
-def _components(state) -> tuple[FockState, ...]:
-    if isinstance(state, LossMixture):
-        return state.components
-    if isinstance(state, FockState):
-        return (state,)
-    raise DomainError(f"expected FockState or LossMixture, got {type(state).__name__}")
+def _count_response(state: FockState, k) -> np.ndarray:
+    """Probability that the counter reports outcome k, per tap count l.
 
-
-def _counts(k):
-    """Validate the conditioning target, return (is_on_off, k_int)."""
+    k is a count >= 0 or "on_off".  A tap count l registers c counts with
+    probability C(l, c) eta^c (1-eta)^(l-c); the on-off outcome sums this
+    over c >= 1, which is one minus the no-count term (1-eta)^l.
+    """
+    l = np.arange(state.cutoff + 1)
+    eta = state.eta_d
     if isinstance(k, str):
         if k != ON_OFF:
             raise DomainError(f"k must be a count >= 0 or {ON_OFF!r}, got {k!r}")
-        return True, 0
+        return -np.expm1(special.xlog1py(l, -eta))
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    return False, int(k)
+    k = int(k)
+    miss = np.maximum(l - k, 0)
+    # log C(l, k) = -log(l + 1) - log B(l - k + 1, k + 1)
+    log_p = (special.xlogy(k, eta) + special.xlog1py(miss, -eta)
+             - np.log1p(l) - special.betaln(miss + 1, k + 1))
+    return np.where(l >= k, np.exp(log_p), 0.0)
 
 
-def _slices(state, k):
-    """Yield the dense kept-pair amplitude block of every contributing slice.
+def _tap_moments(state: FockState) -> np.ndarray:
+    """Kept-pair moment sums for every tap count l, shape (cutoff + 1, 9).
 
-    A slice fixes a loss branch and a counter count; within it the kept pair
-    is pure, and distinct slices add incoherently.
+    Row l holds [weight, <a>, <b>, <n_a>, <n_b>, <a^2>, <b^2>, <ab>, <ab+>]
+    of the unnormalized kept-pair state with l photons in the counter arm,
+    where a, b are the annihilators of modes a and b2; all real because the
+    amplitudes are.  A ladder term pairs each ket |na, l, nb> with the
+    partner |na - da, l, nb - db> it reaches, found by binary search on the
+    sorted (na, nb1, nb2) key.
     """
-    on_off, k_int = _counts(k)
-    comps = _components(state)
-    n1 = comps[0].cutoff + 1
-    for comp in comps:
-        if comp.amp.size == 0:
-            continue
-        if on_off:
-            counts = np.unique(comp.nb1)
-            counts = counts[counts >= 1]
-        else:
-            counts = [k_int] if k_int <= comp.cutoff else []
-        for c in counts:
-            sel = comp.nb1 == c
-            if not sel.any():
-                continue
-            psi = np.zeros((n1, n1))
-            psi[comp.na[sel], comp.nb2[sel]] = comp.amp[sel]
-            yield psi
+    n1 = state.cutoff + 1
+    na, nb, amp = state.na, state.nb2, state.amp
+    key = (na * n1 + state.nb1) * n1 + nb
+    order = np.argsort(key)
+    # a sentinel entry keeps keys[pos] in range when a target exceeds every key
+    keys = np.append(key[order], -1)
+    amps = np.append(amp[order], 0.0)
+
+    def pair(da, db):
+        target = key - da * n1 * n1 - db
+        pos = np.searchsorted(keys[:-1], target)
+        hit = (keys[pos] == target) & (na >= da) & (nb >= db) & (nb - db < n1)
+        return np.where(hit, amp * amps[pos], 0.0)
+
+    w = amp * amp
+    ra, rb = np.sqrt(na), np.sqrt(nb)
+    sums = (
+        w,
+        pair(1, 0) * ra,
+        pair(0, 1) * rb,
+        w * na,
+        w * nb,
+        pair(2, 0) * np.sqrt(na * (na - 1)),
+        pair(0, 2) * np.sqrt(nb * (nb - 1)),
+        pair(1, 1) * ra * rb,
+        pair(1, -1) * ra * np.sqrt(nb + 1),
+    )
+    return np.stack([np.bincount(state.nb1, weights=s, minlength=n1) for s in sums],
+                    axis=1)
 
 
-def _slice_moments(psi: np.ndarray) -> np.ndarray:
-    """Unnormalized moment sums of one pure kept-pair block.
-
-    Returns [weight, <a>, <b>, <n_a>, <n_b>, <a^2>, <b^2>, <ab>, <ab+>]
-    where a, b are annihilators of the kept modes; all real because the
-    amplitudes are.
-    """
-    w = psi * psi
-    n1 = psi.shape[0]
-    idx = np.arange(n1, dtype=float)
-    root = np.sqrt(idx[1:])  # sqrt(1..N)
-    out = np.empty(9)
-    out[0] = w.sum()
-    out[1] = (psi[:-1] * psi[1:] * root[:, None]).sum()
-    out[2] = (psi[:, :-1] * psi[:, 1:] * root[None, :]).sum()
-    out[3] = (w * idx[:, None]).sum()
-    out[4] = (w * idx[None, :]).sum()
-    out[5] = (psi[:-2] * psi[2:] * (root[:-1] * root[1:])[:, None]).sum()
-    out[6] = (psi[:, :-2] * psi[:, 2:] * (root[:-1] * root[1:])[None, :]).sum()
-    out[7] = (psi[:-1, :-1] * psi[1:, 1:] * np.outer(root, root)).sum()
-    out[8] = (psi[:-1, 1:] * psi[1:, :-1] * np.outer(root, root)).sum()
-    return out
-
-
-def conditioned_moments(state, k) -> ConditionedMoments:
+def conditioned_moments(state: FockState, k) -> ConditionedMoments:
     """Quadrature moments of the kept pair after conditioning the counter.
 
-    state is a FockState or a LossMixture; k is a count >= 0 or "on_off".
-    Second moments use x = a + a*, p = -i (a - a*), so the vacuum variance
-    is 1 and <x^2> = 2<n> + 1 + 2<a^2>, with the cross terms analogous.
+    k is a count >= 0 or "on_off".  Different tap counts never interfere,
+    so the conditioned moments are the per-count moment sums weighted by the
+    counter's response to outcome k.  Second moments use x = a + a*,
+    p = -i (a - a*), so the vacuum variance is 1 and
+    <x^2> = 2<n> + 1 + 2<a^2>, with the cross terms analogous.
     """
-    acc = np.zeros(9)
-    for psi in _slices(state, k):
-        acc += _slice_moments(psi)
+    acc = _count_response(state, k) @ _tap_moments(state)
     prob = acc[0]
     if prob <= _PROB_FLOOR:
         raise ConditioningError(f"conditioning probability {prob:.3e} is vanishing")

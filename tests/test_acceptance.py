@@ -173,7 +173,7 @@ def test_number_basis_oracle_matches_closed_forms():
             # click probability, so the tail must sit well below the gate
             pure = build_split_tmsv(v, t, tol=1e-12)
             for eta_d in (1.0, 0.8, 0.5):
-                state = pure if eta_d == 1.0 else apply_detector_loss(pure, eta_d)
+                state = apply_detector_loss(pure, eta_d)
                 for k in (0, 1, 2):
                     prob, cov = condition_on_count(state, k)
                     closed = covariance_subtracted(

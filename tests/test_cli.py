@@ -307,6 +307,14 @@ class TestSimulationCommands:
         assert diff["success_prob"] < 1e-8
         assert max(diff["cov_v1"], diff["cov_v2"], diff["cov_phi"]) < 1e-6
 
+    def test_lossy_on_off_oracle_at_the_working_point(self, tmp_path):
+        # the paper's V = 20 (cutoff 207) seen through a lossy on-off counter
+        text = run_to_file(tmp_path, ["oracle", "--on-off", "--eta-d", "0.7"])
+        _, rows = csv_rows(text)
+        diff = {r[0]: float(r[3]) for r in rows}
+        assert diff["success_prob"] < 1e-8
+        assert max(diff["cov_v1"], diff["cov_v2"], diff["cov_phi"]) < 1e-6
+
     def test_bench_reports_both_arms(self, tmp_path):
         text = run_to_file(tmp_path, [
             "bench", "--snr", "0.5", "--blocks", "2", "--code-n", "512",

@@ -121,6 +121,14 @@ class TestBuild:
         with pytest.raises(ValueError):
             state.amp[0] = 0.0
 
+    def test_caller_arrays_stay_writeable(self):
+        a = np.arange(3)
+        state = FockState(na=a, nb1=0 * a, nb2=0 * a, amp=0.1 * a, cutoff=4,
+                          norm_defect=0.0)
+        a[0] = 1
+        with pytest.raises(ValueError):
+            state.na[0] = 2
+
 
 def single_mode_b1(n, cutoff=4):
     """|0, n, 0> test state."""
@@ -131,37 +139,55 @@ def single_mode_b1(n, cutoff=4):
 
 
 class TestDetectorLoss:
-    def test_unit_efficiency_is_identity(self):
+    def test_unit_efficiency_leaves_conditioning_unchanged(self):
         state = build_split_tmsv(4.0, 0.7, cutoff=45)
-        mix = apply_detector_loss(state, 1.0)
-        assert len(mix.components) == 1
-        assert mix.components[0] is state
+        lossless = apply_detector_loss(state, 1.0)
+        for k in (0, 1, 2, "on_off"):
+            assert conditioned_moments(lossless, k) == conditioned_moments(state, k)
+
+    def test_loss_copies_no_amplitudes(self):
+        state = build_split_tmsv(4.0, 0.7, cutoff=45)
+        lossy = apply_detector_loss(state, 0.6)
+        assert lossy.eta_d == 0.6 and state.eta_d == 1.0
+        for name in ("na", "nb1", "nb2", "amp"):
+            assert np.shares_memory(getattr(lossy, name), getattr(state, name))
 
     def test_single_photon_thinning(self):
-        mix = apply_detector_loss(single_mode_b1(1), 0.5)
-        p1, _ = condition_on_count(mix, 1)
-        p0, _ = condition_on_count(mix, 0)
+        lossy = apply_detector_loss(single_mode_b1(1), 0.5)
+        p1, _ = condition_on_count(lossy, 1)
+        p0, _ = condition_on_count(lossy, 0)
         assert p1 == pytest.approx(0.5, abs=1e-15)
         assert p0 == pytest.approx(0.5, abs=1e-15)
 
     def test_two_photon_binomial_thinning(self):
-        mix = apply_detector_loss(single_mode_b1(2), 0.8)
-        probs = [condition_on_count(mix, k)[0] for k in (0, 1, 2)]
+        lossy = apply_detector_loss(single_mode_b1(2), 0.8)
+        probs = [condition_on_count(lossy, k)[0] for k in (0, 1, 2)]
         assert probs[0] == pytest.approx(0.04, abs=1e-15)
         assert probs[1] == pytest.approx(0.32, abs=1e-15)
         assert probs[2] == pytest.approx(0.64, abs=1e-15)
 
-    def test_kraus_completeness(self):
+    def test_count_completeness(self):
+        # no count and some count exhaust the outcomes at any efficiency
         state = build_split_tmsv(6.0, 0.8, cutoff=60, tol=1e-8)
-        mix = apply_detector_loss(state, 0.6)
-        total = sum(c.amp @ c.amp for c in mix.components)
-        assert total == pytest.approx(state.amp @ state.amp, rel=1e-13)
+        lossy = apply_detector_loss(state, 0.6)
+        total = condition_on_count(lossy, 0)[0] + condition_on_count(lossy, "on_off")[0]
+        assert total == pytest.approx(state.amp @ state.amp, abs=1e-13)
+
+    def test_successive_losses_compose(self):
+        state = build_split_tmsv(6.0, 0.8, cutoff=60, tol=1e-8)
+        twice = apply_detector_loss(apply_detector_loss(state, 0.8), 0.7)
+        once = apply_detector_loss(state, 0.8 * 0.7)
+        for k in (0, 1, 2, "on_off"):
+            assert conditioned_moments(twice, k) == conditioned_moments(once, k)
 
     def test_validation(self):
         state = build_split_tmsv(2.0, 0.5, cutoff=20)
         for eta in (0.0, -0.1, 1.1):
             with pytest.raises(DomainError):
                 apply_detector_loss(state, eta)
+            with pytest.raises(DomainError):
+                FockState(na=state.na, nb1=state.nb1, nb2=state.nb2, amp=state.amp,
+                          cutoff=20, norm_defect=0.0, eta_d=eta)
 
 
 class TestConditioning:
@@ -195,10 +221,10 @@ class TestConditioning:
             for t in (0.5, 0.8):
                 state = build_split_tmsv(v, t, cutoff=cutoff)
                 for eta in (1.0, 0.5):
-                    mix = apply_detector_loss(state, eta)
+                    lossy = apply_detector_loss(state, eta)
                     for k in (0, 1, 2):
                         src = SourceSpec.k_photon(v, t, k, eta_d=eta)
-                        prob, cov = condition_on_count(mix, k)
+                        prob, cov = condition_on_count(lossy, k)
                         rep = covariance_subtracted(src)
                         assert prob == pytest.approx(
                             success_prob_k(src), abs=1e-8
@@ -208,9 +234,9 @@ class TestConditioning:
 
     def test_on_off_with_loss_against_closed_forms(self):
         state = build_split_tmsv(6.0, 0.8, cutoff=100)
-        mix = apply_detector_loss(state, 0.7)
+        lossy = apply_detector_loss(state, 0.7)
         src = SourceSpec.on_off(6.0, 0.8, eta_d=0.7)
-        prob, cov = condition_on_count(mix, "on_off")
+        prob, cov = condition_on_count(lossy, "on_off")
         assert prob == pytest.approx(success_prob_onoff(src), abs=1e-8)
         rep = covariance_subtracted(src)
         for got, want in zip(cov.as_tuple(), rep.cov.as_tuple()):
@@ -218,9 +244,9 @@ class TestConditioning:
 
     def test_conditioned_means_vanish(self):
         state = build_split_tmsv(6.0, 0.8, cutoff=60, tol=1e-8)
-        mix = apply_detector_loss(state, 0.8)
+        lossy = apply_detector_loss(state, 0.8)
         for k in (0, 1, 2, "on_off"):
-            m = conditioned_moments(mix, k)
+            m = conditioned_moments(lossy, k)
             assert abs(m.mean_xa) < 1e-10
             assert abs(m.mean_xb) < 1e-10
             assert m.va_x == pytest.approx(m.va_p, abs=1e-12)

@@ -96,7 +96,7 @@ def test_key_rate_batch_equals_scalar_evaluations(src, ts, distance, epsilon):
 
 
 @ORACLE
-@given(v=st.floats(1.05, 3.0, **finite), t=st.floats(0.05, 0.95, **finite),
+@given(v=st.floats(1.05, 30.0, **finite), t=st.floats(0.05, 0.95, **finite),
        k=st.sampled_from([0, 1, 2, 3, "on_off"]), eta=etas)
 def test_closed_forms_match_number_basis_oracle(v, t, k, eta):
     if k == "on_off":
