@@ -1,7 +1,7 @@
 """Syndrome belief-propagation decoding (sum-product, vectorized).
 
 Messages live on edge arrays in check-sorted order; per-check tanh
-products go through multiply.reduceat and per-variable sums through
+products go through LdpcCode.check_fold and per-variable sums through
 bincount, so one iteration is a handful of array passes in float32.
 A nonzero target syndrome flips the sign of the corresponding check
 product, which is all coset decoding needs.
@@ -42,35 +42,38 @@ def decode_syndrome(code: LdpcCode, llr, syndrome, max_iter: int = 200):
 
     edge_var = code.edge_var
     edge_chk = code.edge_chk
-    starts = code.check_ptr[:-1]
     m_cv = np.zeros(code.n_edges, dtype=np.float32)
+    # llr plus the zero initial messages; a -0.0 here is floored like +0.0
+    total = llr
     prev_ok = False
     best_unsat = code.m + 1
     best_iter = 0
     it = 0
     for it in range(1, max_iter + 1):
-        v_total = llr + np.bincount(edge_var, weights=m_cv,
-                                    minlength=code.n).astype(np.float32)
-        m_vc = v_total[edge_var] - m_cv
-        t = np.tanh(0.5 * m_vc)
+        t = total[edge_var] - m_cv
+        t *= 0.5
+        np.tanh(t, out=t)
         np.clip(t, -_TANH_CEIL, _TANH_CEIL, out=t)
-        t = np.where(np.abs(t) < _TANH_FLOOR,
-                     np.where(t < 0.0, -_TANH_FLOOR, _TANH_FLOOR).astype(np.float32),
-                     t)
-        prod = np.multiply.reduceat(t, starts) * syn_sign
-        r = prod[edge_chk] / t
-        np.clip(r, -_TANH_CEIL, _TANH_CEIL, out=r)
-        m_cv = 2.0 * np.arctanh(r)
+        small = np.abs(t) < _TANH_FLOOR
+        if small.any():
+            t[small] = np.where(t[small] < 0.0, -_TANH_FLOOR, _TANH_FLOOR)
+        prod = code.check_fold(np.multiply, t) * syn_sign
+        m_cv = prod[edge_chk] / t
+        np.clip(m_cv, -_TANH_CEIL, _TANH_CEIL, out=m_cv)
+        np.arctanh(m_cv, out=m_cv)
+        m_cv *= 2.0
 
+        # the posterior gives the hard decision now and, less each edge's own
+        # message, the variable-to-check messages of the next iteration
         total = llr + np.bincount(edge_var, weights=m_cv,
                                   minlength=code.n).astype(np.float32)
         bits = (total < 0.0).astype(np.uint8)
         s_hat = code.syndrome(bits)
-        ok = np.array_equal(s_hat, syndrome)
+        unsat = int(np.count_nonzero(s_hat != syndrome))
+        ok = unsat == 0
         if ok and prev_ok:
             return bits, it
         prev_ok = ok
-        unsat = int(np.count_nonzero(s_hat != syndrome))
         if unsat < best_unsat:
             best_unsat = unsat
             best_iter = it

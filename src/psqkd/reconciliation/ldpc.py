@@ -3,15 +3,16 @@ alist interchange.
 
 The decoder wants edge-centric arrays, so LdpcCode stores the bipartite
 graph as parallel edge lists sorted by check.  Construction follows
-progressive-edge-growth with two scale concessions documented on
-peg_construct: the breadth-first search that spreads a new edge away from
-existing short cycles is bounded (depth and reached-set caps), and the
-minimum-degree check is found through a lazy-deletion heap of packed
-(degree, tiebreak, index) integers rather than a rescan.
+progressive-edge-growth reduced to what scales: each new edge avoids the
+variable's distance-2 neighbourhood, so the graph has no 4-cycles but no
+longer cycles are kept out, and the minimum-degree check is found through a
+lazy-deletion heap of packed (degree, tiebreak, index) integers rather
+than a rescan.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import heapq
 import math
@@ -21,8 +22,8 @@ import numpy as np
 
 from ..errors import DomainError
 
+# a variable with this many checks excludes only its own checks
 _REACH_CAP = 4096
-_DEPTH_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class LdpcCode:
     """Bipartite parity-check graph of n variables and m checks.
 
     edge_var/edge_chk list the endpoints of every edge sorted by check then
-    variable; check_ptr gives reduceat boundaries per check.
+    variable; check c owns edges check_ptr[c]:check_ptr[c + 1].
     """
 
     n: int
@@ -55,28 +56,59 @@ class LdpcCode:
     def check_degrees(self) -> np.ndarray:
         return np.diff(self.check_ptr)
 
+    @functools.cached_property
+    def _check_columns(self):
+        """Checks by descending degree, and for each j the j-th edges of
+        the checks that have one: every such column is a prefix of them."""
+        deg = self.check_degrees
+        order = np.argsort(-deg, kind="stable")
+        first = self.check_ptr[:-1][order]
+        return order, [first[:np.count_nonzero(deg > j)] + j
+                       for j in range(int(deg.max()))]
+
+    def check_fold(self, ufunc, values) -> np.ndarray:
+        """ufunc folded over each check's edge values, left to right in edge
+        order: ufunc.reduceat(values, check_ptr[:-1]) in one pass per column
+        rather than one call per check."""
+        order, columns = self._check_columns
+        acc = values[columns[0]]
+        for col in columns[1:]:
+            head = acc[:col.size]
+            ufunc(head, values[col], out=head)
+        out = np.empty_like(acc)
+        out[order] = acc
+        return out
+
     def syndrome(self, bits) -> np.ndarray:
         """Parity of each check over the given bit vector."""
         bits = np.asarray(bits)
         if bits.shape != (self.n,):
             raise DomainError(f"bits must have shape ({self.n},), got {bits.shape}")
-        acc = np.bincount(self.edge_chk, weights=bits[self.edge_var].astype(float),
-                          minlength=self.m)
-        return (acc.astype(np.int64) & 1).astype(np.uint8)
+        # the low bit of an XOR is the parity of the operands' low bits
+        bits = bits.astype(np.uint8, copy=False)
+        return self.check_fold(np.bitwise_xor, bits[self.edge_var]) & 1
 
     @classmethod
     def from_adjacency(cls, n: int, m: int, var_lists) -> "LdpcCode":
         """Build from per-variable check lists, validating the graph."""
-        if n < 1 or m < 1 or m >= n:
-            raise DomainError(f"need 1 <= m < n, got n={n} m={m}")
         if len(var_lists) != n:
             raise DomainError(f"expected {n} adjacency lists, got {len(var_lists)}")
-        degs = np.array([len(c) for c in var_lists])
+        chks = [np.asarray(c, dtype=np.int32) for c in var_lists]
+        return cls._from_var_major(n, m, np.array([c.size for c in chks], dtype=np.int64),
+                                   np.concatenate(chks) if chks else np.empty(0, np.int32))
+
+    @classmethod
+    def _from_var_major(cls, n: int, m: int, degs, var_chks) -> "LdpcCode":
+        """Build from every variable's checks laid end to end in variable
+        order (degs of them each), validating the graph."""
+        if n < 1 or m < 1 or m >= n:
+            raise DomainError(f"need 1 <= m < n, got n={n} m={m}")
         if (degs < 2).any():
             bad = int(np.argmin(degs))
             raise DomainError(f"variable {bad} has degree {degs[bad]}; minimum is 2")
-        edge_var = np.repeat(np.arange(n, dtype=np.int32), degs)
-        edge_chk = np.concatenate([np.asarray(c, dtype=np.int32) for c in var_lists])
+        # intp edge arrays index without a conversion on every gather
+        edge_var = np.repeat(np.arange(n, dtype=np.intp), degs)
+        edge_chk = var_chks.astype(np.intp)
         if edge_chk.min() < 0 or edge_chk.max() >= m:
             raise DomainError("check index out of range")
         pairs = edge_chk.astype(np.int64) * n + edge_var
@@ -116,120 +148,88 @@ def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
 
     profile maps variable degree to node fraction, e.g. {2: 0.2, 3: 0.7,
     6: 0.1}.  Variables are placed in ascending degree order; each edge
-    goes to the lowest-degree check outside the breadth-first neighborhood
-    of the variable, which keeps short cycles out.  At this scale the
-    search is bounded (_DEPTH_CAP levels, _REACH_CAP reached checks) and
-    candidate checks come from a lazy-deletion heap, so the girth guarantee
-    is local rather than global; cycle length 4 is still excluded outright.
+    goes to the lowest-(degree, tiebreak) check outside the variable's
+    distance-2 neighbourhood: its own checks and every check of a variable
+    sharing one with it.  That excludes 4-cycles and nothing longer.  When
+    the neighbourhood covers every check, the edge falls back to the
+    minimum among the checks first reached at distance 2 (the variable's
+    own checks if there are none).  Once a variable has _REACH_CAP checks
+    only those are excluded.  Candidates come from a lazy-deletion heap.
     Deterministic for a given seed (ties broken by pre-drawn random keys).
     """
     degrees = _degree_sequence(n, profile)
-    if int(degrees.sum()) < 2 * m:
+    n_edges = int(degrees.sum())
+    if n_edges < 2 * m:
         raise DomainError("profile leaves checks with fewer than two edges on average")
     if m >= (1 << 24):
         raise DomainError("check count exceeds the 24-bit heap packing")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    chk_deg = np.zeros(m, dtype=np.int32)
-    width = max(4, int(math.ceil(degrees.sum() / m)) + 4)
-    chk_vars = np.full((m, width), -1, dtype=np.int32)
-    dmax = int(degrees.max())
-    var_chks = np.full((n, dmax), -1, dtype=np.int32)
-    var_deg = np.zeros(n, dtype=np.int32)
+    # one key per check, then one fresh key per placed edge, in edge order
+    tiebreak = memoryview(rng.integers(0, 1 << 20, size=m, dtype=np.int64))
+    fresh = iter(memoryview(rng.integers(0, 1 << 20, size=n_edges, dtype=np.int64)))
 
     # heap entries pack (degree << 44) | (tiebreak << 24) | check; an entry
     # is stale once the check's degree moved on, and each degree change
     # pushes a fresh entry, so exactly one live entry exists per check
-    tiebreak = rng.integers(0, 1 << 20, size=m, dtype=np.int64)
-    heap = [int((t << 24) | c) for c, t in enumerate(tiebreak)]
+    heap = [(t << 24) | c for c, t in enumerate(tiebreak)]
     heapq.heapify(heap)
 
-    visited_chk = np.zeros(m, dtype=bool)
-    visited_var = np.zeros(n, dtype=bool)
+    # variable v's checks fill var_mv[start[v]:end[v]] in placement order;
+    # check c's variables fill row c of chk_vars, read flat through chk_mv
+    start = memoryview(np.concatenate(([0], np.cumsum(degrees, dtype=np.int64))))
+    end = memoryview(np.array(start[:-1]))
+    var_chks = np.empty(n_edges, dtype=np.int32)
+    var_mv = memoryview(var_chks)
+    width = max(4, int(math.ceil(n_edges / m)) + 4)
+    chk_vars = np.empty((m, width), dtype=np.int32)
+    chk_mv = memoryview(chk_vars.reshape(-1))
+    chk_deg = [0] * m
 
-    def bfs_reached(v):
-        """Checks within the bounded neighborhood of v; also the last level."""
-        level = var_chks[v, :var_deg[v]]
-        visited_chk[level] = True
-        touched_c = [level]
-        touched_v = []
-        last = level
-        reached = level.size
-        for _ in range(_DEPTH_CAP):
-            if level.size == 0 or reached >= _REACH_CAP:
-                break
-            vs = chk_vars[level, :].ravel()
-            vs = vs[vs >= 0]
-            vs = vs[~visited_var[vs]]
-            if vs.size == 0:
-                break
-            visited_var[vs] = True
-            touched_v.append(vs)
-            cs = var_chks[vs, :].ravel()
-            cs = cs[cs >= 0]
-            cs = cs[~visited_chk[cs]]
-            if cs.size == 0:
-                break
-            cs = np.unique(cs)
-            visited_chk[cs] = True
-            touched_c.append(cs)
-            last = cs
-            reached += cs.size
-        return touched_c, touched_v, last
-
-    def grow_width():
-        nonlocal chk_vars, width
-        extra = np.full((m, width), -1, dtype=np.int32)
-        chk_vars = np.concatenate([chk_vars, extra], axis=1)
-        width *= 2
-
-    order = np.argsort(degrees, kind="stable")
-    for v in order.tolist():
-        v = int(v)
-        for _ in range(int(degrees[v])):
-            last = None
-            if var_deg[v] == 0:
-                touched_c, touched_v = [], []
-            else:
-                touched_c, touched_v, last = bfs_reached(v)
+    for v in np.argsort(degrees, kind="stable").tolist():
+        for _ in range(start[v + 1] - start[v]):
+            own = var_mv[start[v]:end[v]].tolist()
+            # variables sharing a check with v, v included: a check is
+            # within distance 2 of v exactly when one of its variables is
+            # here; past the cap adj stays empty and only own checks count
+            adj = set()
+            if len(own) < _REACH_CAP:
+                for c in own:
+                    row = c * width
+                    adj.update(chk_mv[row:row + chk_deg[c]])
             chosen = -1
             stash = []
             while heap:
                 packed = heapq.heappop(heap)
                 c = packed & 0xFFFFFF
-                deg = packed >> 44
-                if deg != chk_deg[c]:
+                if packed >> 44 != chk_deg[c]:
                     continue  # stale entry
-                if visited_chk[c]:
+                row = c * width
+                if c in own or not adj.isdisjoint(chk_mv[row:row + chk_deg[c]]):
                     stash.append(packed)
                     continue
                 chosen = c
                 break
             if chosen < 0:
-                if last is None or last.size == 0:
+                if not own:
                     raise DomainError("no placeable check; graph parameters inconsistent")
-                # whole neighborhood covers every check: fall back to the
-                # deepest layer, minimum degree with random tiebreak
-                key = chk_deg[last].astype(np.int64) << 20 | tiebreak[last]
-                chosen = int(last[int(np.argmin(key))])
+                near = set().union(*(var_mv[start[u]:end[u]] for u in adj))
+                last = sorted(near.difference(own)) or own
+                chosen = min(last, key=lambda c: (chk_deg[c] << 20) | tiebreak[c])
             for packed in stash:
                 heapq.heappush(heap, packed)
-            c = int(chosen)
+            c = chosen
             if chk_deg[c] >= width:
-                grow_width()
-            chk_vars[c, chk_deg[c]] = v
+                chk_vars = np.concatenate([chk_vars, np.empty_like(chk_vars)], axis=1)
+                width *= 2
+                chk_mv = memoryview(chk_vars.reshape(-1))
+            chk_mv[c * width + chk_deg[c]] = v
             chk_deg[c] += 1
-            var_chks[v, var_deg[v]] = c
-            var_deg[v] += 1
-            tiebreak[c] = rng.integers(0, 1 << 20)
-            heapq.heappush(heap, int((int(chk_deg[c]) << 44) | (int(tiebreak[c]) << 24) | c))
-            for arr in touched_c:
-                visited_chk[arr] = False
-            for arr in touched_v:
-                visited_var[arr] = False
+            var_mv[end[v]] = c
+            end[v] += 1
+            tiebreak[c] = next(fresh)
+            heapq.heappush(heap, (chk_deg[c] << 44) | (tiebreak[c] << 24) | c)
 
-    var_lists = [var_chks[v, :var_deg[v]].copy() for v in range(n)]
-    return LdpcCode.from_adjacency(n, m, var_lists)
+    return LdpcCode._from_var_major(n, m, degrees, var_chks)
 
 
 def save_alist(code: LdpcCode, path: str) -> None:

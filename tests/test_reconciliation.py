@@ -1,15 +1,19 @@
 """Reconciliation tests: rotation algebra, code construction, decoding,
 and the bench harness at desk scale."""
 
+import heapq
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psqkd.analysis import beta_from_rate_snr
 from psqkd.errors import DegenerateBlockError, DomainError
-from psqkd.montecarlo import run_experiment
+from psqkd.montecarlo import collect_accepted_pairs, run_experiment
 from psqkd.reconciliation import (
     OCTONION_BASIS,
     accepted_pairs,
@@ -31,7 +35,8 @@ from psqkd.reconciliation import (
     save_alist,
     snr_estimate,
 )
-from psqkd.reconciliation.ldpc import LdpcCode
+from psqkd.reconciliation import ldpc
+from psqkd.reconciliation.ldpc import LdpcCode, _degree_sequence
 from psqkd.subtraction import SourceSpec, covariance_subtracted
 
 PROFILE = {2: 0.2, 3: 0.7, 6: 0.1}
@@ -419,3 +424,301 @@ class TestBench:
             gaussian_pairs(0.0, 100, seed=1)
         with pytest.raises(DomainError):
             gaussian_pairs(0.5, 0, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the construction and the decoder against their earlier loop versions, which
+# must give the same graph and the same bits
+
+_REACH_CAP = 4096
+_DEPTH_CAP = 8
+_TANH_FLOOR = 1e-12
+_TANH_CEIL = 1.0 - 1e-7
+_STALL_WINDOW = 50
+
+
+def reference_peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
+    """peg_construct as it was with one NumPy call per step: a bounded
+    breadth-first search over visited masks, and one scalar draw per edge."""
+    degrees = _degree_sequence(n, profile)
+    if int(degrees.sum()) < 2 * m:
+        raise DomainError("profile leaves checks with fewer than two edges on average")
+    if m >= (1 << 24):
+        raise DomainError("check count exceeds the 24-bit heap packing")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    chk_deg = np.zeros(m, dtype=np.int32)
+    width = max(4, int(math.ceil(degrees.sum() / m)) + 4)
+    chk_vars = np.full((m, width), -1, dtype=np.int32)
+    dmax = int(degrees.max())
+    var_chks = np.full((n, dmax), -1, dtype=np.int32)
+    var_deg = np.zeros(n, dtype=np.int32)
+
+    # heap entries pack (degree << 44) | (tiebreak << 24) | check; an entry
+    # is stale once the check's degree moved on, and each degree change
+    # pushes a fresh entry, so exactly one live entry exists per check
+    tiebreak = rng.integers(0, 1 << 20, size=m, dtype=np.int64)
+    heap = [int((t << 24) | c) for c, t in enumerate(tiebreak)]
+    heapq.heapify(heap)
+
+    visited_chk = np.zeros(m, dtype=bool)
+    visited_var = np.zeros(n, dtype=bool)
+
+    def bfs_reached(v):
+        """Checks within the bounded neighborhood of v; also the last level."""
+        level = var_chks[v, :var_deg[v]]
+        visited_chk[level] = True
+        touched_c = [level]
+        touched_v = []
+        last = level
+        reached = level.size
+        for _ in range(_DEPTH_CAP):
+            if level.size == 0 or reached >= _REACH_CAP:
+                break
+            vs = chk_vars[level, :].ravel()
+            vs = vs[vs >= 0]
+            vs = vs[~visited_var[vs]]
+            if vs.size == 0:
+                break
+            visited_var[vs] = True
+            touched_v.append(vs)
+            cs = var_chks[vs, :].ravel()
+            cs = cs[cs >= 0]
+            cs = cs[~visited_chk[cs]]
+            if cs.size == 0:
+                break
+            cs = np.unique(cs)
+            visited_chk[cs] = True
+            touched_c.append(cs)
+            last = cs
+            reached += cs.size
+        return touched_c, touched_v, last
+
+    def grow_width():
+        nonlocal chk_vars, width
+        extra = np.full((m, width), -1, dtype=np.int32)
+        chk_vars = np.concatenate([chk_vars, extra], axis=1)
+        width *= 2
+
+    order = np.argsort(degrees, kind="stable")
+    for v in order.tolist():
+        v = int(v)
+        for _ in range(int(degrees[v])):
+            last = None
+            if var_deg[v] == 0:
+                touched_c, touched_v = [], []
+            else:
+                touched_c, touched_v, last = bfs_reached(v)
+            chosen = -1
+            stash = []
+            while heap:
+                packed = heapq.heappop(heap)
+                c = packed & 0xFFFFFF
+                deg = packed >> 44
+                if deg != chk_deg[c]:
+                    continue  # stale entry
+                if visited_chk[c]:
+                    stash.append(packed)
+                    continue
+                chosen = c
+                break
+            if chosen < 0:
+                if last is None or last.size == 0:
+                    raise DomainError("no placeable check; graph parameters inconsistent")
+                # whole neighborhood covers every check: fall back to the
+                # deepest layer, minimum degree with random tiebreak
+                key = chk_deg[last].astype(np.int64) << 20 | tiebreak[last]
+                chosen = int(last[int(np.argmin(key))])
+            for packed in stash:
+                heapq.heappush(heap, packed)
+            c = int(chosen)
+            if chk_deg[c] >= width:
+                grow_width()
+            chk_vars[c, chk_deg[c]] = v
+            chk_deg[c] += 1
+            var_chks[v, var_deg[v]] = c
+            var_deg[v] += 1
+            tiebreak[c] = rng.integers(0, 1 << 20)
+            heapq.heappush(heap, int((int(chk_deg[c]) << 44) | (int(tiebreak[c]) << 24) | c))
+            for arr in touched_c:
+                visited_chk[arr] = False
+            for arr in touched_v:
+                visited_var[arr] = False
+
+    var_lists = [var_chks[v, :var_deg[v]].copy() for v in range(n)]
+    return LdpcCode.from_adjacency(n, m, var_lists)
+
+
+def reference_decode_syndrome(code: LdpcCode, llr, syndrome, max_iter: int = 200):
+    """decode_syndrome as it was: v_total recomputed at the start of each
+    iteration, per-check products by multiply.reduceat, np.where flooring."""
+    llr = np.asarray(llr, dtype=np.float32)
+    if llr.shape != (code.n,):
+        raise DomainError(f"llr must have shape ({code.n},), got {llr.shape}")
+    syndrome = np.asarray(syndrome)
+    if syndrome.shape != (code.m,):
+        raise DomainError(f"syndrome must have shape ({code.m},), got {syndrome.shape}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    syn_sign = (1.0 - 2.0 * syndrome.astype(np.float32))
+
+    edge_var = code.edge_var
+    edge_chk = code.edge_chk
+    starts = code.check_ptr[:-1]
+    m_cv = np.zeros(code.n_edges, dtype=np.float32)
+    prev_ok = False
+    best_unsat = code.m + 1
+    best_iter = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        v_total = llr + np.bincount(edge_var, weights=m_cv,
+                                    minlength=code.n).astype(np.float32)
+        m_vc = v_total[edge_var] - m_cv
+        t = np.tanh(0.5 * m_vc)
+        np.clip(t, -_TANH_CEIL, _TANH_CEIL, out=t)
+        t = np.where(np.abs(t) < _TANH_FLOOR,
+                     np.where(t < 0.0, -_TANH_FLOOR, _TANH_FLOOR).astype(np.float32),
+                     t)
+        prod = np.multiply.reduceat(t, starts) * syn_sign
+        r = prod[edge_chk] / t
+        np.clip(r, -_TANH_CEIL, _TANH_CEIL, out=r)
+        m_cv = 2.0 * np.arctanh(r)
+
+        total = llr + np.bincount(edge_var, weights=m_cv,
+                                  minlength=code.n).astype(np.float32)
+        bits = (total < 0.0).astype(np.uint8)
+        s_hat = reference_syndrome(code, bits)
+        ok = np.array_equal(s_hat, syndrome)
+        if ok and prev_ok:
+            return bits, it
+        prev_ok = ok
+        unsat = int(np.count_nonzero(s_hat != syndrome))
+        if unsat < best_unsat:
+            best_unsat = unsat
+            best_iter = it
+        elif it - best_iter >= _STALL_WINDOW:
+            break
+    return None, it
+
+
+def reference_syndrome(code, bits):
+    """Check parities by a float bincount, as syndrome computed them."""
+    acc = np.bincount(code.edge_chk, weights=np.asarray(bits)[code.edge_var].astype(float),
+                      minlength=code.m)
+    return (acc.astype(np.int64) & 1).astype(np.uint8)
+
+
+def construction(build, n, m, profile, seed):
+    """The edge arrays a construction returns, or the message it raises."""
+    try:
+        code = build(n, m, profile, seed)
+    except DomainError as exc:
+        return str(exc)
+    return code.edge_var.tolist(), code.edge_chk.tolist(), code.check_ptr.tolist()
+
+
+# graphs that stash many heap entries or fall back when every check is near
+CROWDED_CASES = [
+    (200, 100, {2: 0.5, 8: 0.5}, 9),
+    (30, 12, {3: 1.0}, 0),
+    (16, 8, {3: 0.5, 5: 0.5}, 4),
+    (20, 8, {4: 1.0}, 1),
+]
+PEG_CASES = [
+    (512, 461, PROFILE, 11),     # tests, CLI tests
+    (2048, 1843, PROFILE, 42),   # tests
+    (2048, 1843, PROFILE, 11),   # demo, acceptance
+    (4096, 3686, PROFILE, 11),   # the protocol workload's bench
+] + CROWDED_CASES
+
+
+@pytest.mark.parametrize("n, m, profile, seed", PEG_CASES)
+def test_peg_matches_reference(n, m, profile, seed):
+    assert (construction(peg_construct, n, m, profile, seed)
+            == construction(reference_peg_construct, n, m, profile, seed))
+
+
+@pytest.mark.parametrize("n, m, profile, seed", CROWDED_CASES)
+def test_peg_matches_reference_under_a_low_reach_cap(n, m, profile, seed, monkeypatch):
+    # past the cap a variable excludes only its own checks
+    monkeypatch.setattr(ldpc, "_REACH_CAP", 3)
+    monkeypatch.setattr(sys.modules[__name__], "_REACH_CAP", 3)
+    assert (construction(peg_construct, n, m, profile, seed)
+            == construction(reference_peg_construct, n, m, profile, seed))
+
+
+@st.composite
+def peg_parameters(draw):
+    n = draw(st.integers(4, 48))
+    m = draw(st.integers(max(2, n // 4), n - 1))
+    low = draw(st.integers(2, 9))
+    high = draw(st.integers(low, 12))
+    frac = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    profile = {low: 1.0} if low == high or frac == 1.0 else {low: frac, high: 1.0 - frac}
+    return n, m, profile, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(peg_parameters())
+def test_peg_matches_reference_on_small_graphs(params):
+    assert (construction(peg_construct, *params)
+            == construction(reference_peg_construct, *params))
+
+
+def test_check_fold_matches_reduceat(code512):
+    # an irregular graph too, whose checks have one to five edges
+    irregular = LdpcCode.from_adjacency(
+        6, 5, [[0, 1], [1, 2, 3], [0, 4], [2, 4], [1, 3, 4], [0, 1, 2, 3, 4]])
+    rng = np.random.default_rng(30)
+    for code in (code512, irregular):
+        t = rng.uniform(-1.0, 1.0, code.n_edges).astype(np.float32)
+        t[::7] = 0.0
+        t[3::11] = -0.0
+        b = rng.integers(0, 256, code.n_edges).astype(np.uint8)
+        starts = code.check_ptr[:-1]
+        assert np.array_equal(code.check_fold(np.multiply, t).view(np.uint32),
+                              np.multiply.reduceat(t, starts).view(np.uint32))
+        assert np.array_equal(code.check_fold(np.bitwise_xor, b),
+                              np.bitwise_xor.reduceat(b, starts))
+        bits = rng.integers(0, 2, code.n).astype(np.uint8)
+        assert np.array_equal(code.syndrome(bits), reference_syndrome(code, bits))
+
+
+def block_llr(code, x, y, seed):
+    """Alice's LLRs and Bob's syndrome for one block, as decode forms them."""
+    bits = np.random.default_rng(seed).integers(0, 2, code.n).astype(np.uint8)
+    alpha, _ = encode_side_info(y.reshape(-1, 8), bits)
+    xb = x.reshape(-1, 8)
+    v = apply_rotation(alpha, xb / np.linalg.norm(xb, axis=1, keepdims=True))
+    return llr_scale(mu_of_snr(snr_estimate(x, y))) * v.ravel(), code.syndrome(bits)
+
+
+@pytest.mark.parametrize("n, snr, decodes", [(4096, 1.0554, True), (2048, 0.1626, False)])
+@pytest.mark.parametrize("arm", ["gaussian", "postselected"])
+def test_decoder_matches_reference(n, snr, decodes, arm):
+    code = peg_construct(n, n - round(0.1 * n), PROFILE, seed=11)
+    if arm == "gaussian":
+        x, y = gaussian_pairs(snr, n, seed=31)
+    else:
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        x, y = collect_accepted_pairs(src, matched_channel(src, snr, 0.01), n, seed=32)
+    llr, syn = block_llr(code, x, y, seed=33)
+    llr[::97] = 0.0  # erasures: their first messages sit on the tanh floor
+    got, iters = decode_syndrome(code, llr, syn)
+    want, want_iters = reference_decode_syndrome(code, llr, syn)
+    assert iters == want_iters
+    assert (got is None) == (want is None) == (not decodes)
+    if decodes:
+        assert np.array_equal(got, want)
+
+
+def test_decoder_matches_reference_on_erasures(code512):
+    # all-zero LLRs: every first message sits on the tanh floor, so the
+    # floor's sign decides the hard decisions
+    syn = np.random.default_rng(34).integers(0, 2, code512.m).astype(np.uint8)
+    llr = np.zeros(code512.n, dtype=np.float32)
+    got, iters = decode_syndrome(code512, llr, syn)
+    want, want_iters = reference_decode_syndrome(code512, llr, syn)
+    assert iters == want_iters
+    assert got is None and want is None
+
