@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .gaussian import ChannelSpec, KeyRateReport, apply_channel, key_rate_homodyne
+from .gaussian import ChannelSpec, KeyRateReport, _plain, apply_channel, key_rate_homodyne
 from .subtraction import (
     SCHEME_NONE,
     SourceSpec,
@@ -68,7 +68,8 @@ class OptimumRecord:
 
     band_90 and band_50 are the t-intervals sustaining at least 90% and 50%
     of the optimal rate; they are (nan, nan) when has_key is False, meaning
-    no evaluated t produced a positive rate.
+    no evaluated t produced a positive rate.  For a channel with a distance
+    axis every field (and each band edge) is an array over it.
     """
 
     distance_km: float
@@ -95,34 +96,42 @@ def pipeline_key_rate(src: SourceSpec, ch: ChannelSpec,
 
     Composes the conditional covariance, the channel map and the homodyne
     key-rate calculus, weighting by the scheme's acceptance probability
-    (one for scheme "none").  An array of tap transmittances in src gives
-    a report of arrays, evaluated elementwise by the same code.
+    (one for scheme "none").  Arrays of tap transmittances in src, or of
+    channel parameters in ch, broadcast into a report of arrays.
     """
     rep = covariance_subtracted(src)
     cov = apply_channel(rep.cov, ch)
     return key_rate_homodyne(cov, beta, success_prob=rep.success_prob)
 
 
-def _rate_at(src: SourceSpec, t, ch: ChannelSpec, beta: float) -> np.ndarray:
-    """Key rate at the tap transmittance(s) t, shaped like t.
+def _rates(src: SourceSpec, ch: ChannelSpec, beta: float):
+    """The key rate and success probability as functions of the tap.
 
-    Scheme "none" ignores the tap, so its single rate is broadcast.
+    Taps of shape (m,) + S, for a channel of shape S (() for one channel,
+    (n,) for a distance axis), give two arrays of that shape.  Scheme
+    "none" ignores the tap, so its values are broadcast.
     """
-    rate = pipeline_key_rate(replace(src, t=t), ch, beta).key_rate
-    return np.broadcast_to(rate, np.shape(t))
+    def evaluate(t):
+        rep = pipeline_key_rate(replace(src, t=t), ch, beta)
+        return np.broadcast_arrays(t, rep.key_rate, rep.success_prob)[1:]
+
+    return evaluate
+
+
+def _at(values, i):
+    """values[i] along the first axis, for an index i per element of the rest."""
+    return np.take_along_axis(values, np.expand_dims(i, 0), 0)[0]
 
 
 def _band_edges(rate_fn, t_opt, bounds, targets) -> np.ndarray:
     """Bisect for each rate crossing between t_opt and bounds[i] at targets[i].
 
-    All edges are bisected together, one array evaluation per step.  If the
-    rate never drops below the target before the grid bound, that band is
-    truncated there.
+    All edges of all channels are bisected together, one array evaluation
+    per step.  If the rate never drops below the target before the grid
+    bound, that band is truncated there.
     """
-    bounds = np.asarray(bounds, dtype=float)
-    targets = np.asarray(targets, dtype=float)
     truncated = rate_fn(bounds) >= targets
-    lo, hi = np.full_like(bounds, t_opt), bounds
+    lo, hi = np.broadcast_to(t_opt, bounds.shape), bounds
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         above = rate_fn(mid) >= targets
@@ -138,94 +147,114 @@ def optimize_t(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
     Exhaustive grid scan followed by t_grid.refinements zoom passes, each
     pass one array evaluation of the grid; no unimodality is assumed, so
     the returned optimum dominates every evaluated point by construction.
-    Bands are found by bisecting outward from the optimum.
+    Bands are found by bisecting outward from the optimum.  A channel with
+    a distance axis (t_c or epsilon of shape (n,)) is optimized at every
+    distance at once: each pass evaluates a (count, n) grid, and the
+    record's fields are arrays of shape (n,).
     """
-    def rate_fn(t):
-        return _rate_at(src, t, ch, beta)
-
-    lo, hi = t_grid.lo, t_grid.hi
-    t_opt, rate_opt = t_grid.lo, -math.inf
+    evaluate = _rates(src, ch, beta)
+    shape = np.broadcast_shapes(np.shape(ch.t_c), np.shape(ch.epsilon))
+    lo, hi = np.full(shape, t_grid.lo), np.full(shape, t_grid.hi)
+    t_opt, rate_opt, p_opt = lo, np.full(shape, -np.inf), np.full(shape, np.nan)
     for _ in range(t_grid.refinements + 1):
         pts = t_grid.points(lo, hi)
-        rates = rate_fn(pts)
-        i = int(np.argmax(rates))
-        if rates[i] > rate_opt:
-            t_opt, rate_opt = float(pts[i]), float(rates[i])
+        rates, probs = evaluate(pts)
+        i = np.argmax(rates, axis=0)
+        better = _at(rates, i) > rate_opt
+        t_opt = np.where(better, _at(pts, i), t_opt)
+        p_opt = np.where(better, _at(probs, i), p_opt)
+        rate_opt = np.where(better, _at(rates, i), rate_opt)
         span = (hi - lo) / 10.0
-        lo = max(t_grid.lo, t_opt - 0.5 * span)
-        hi = min(t_grid.hi, t_opt + 0.5 * span)
-    dist = ch.distance_km if ch.distance_km is not None else float("nan")
-    p_opt = float(covariance_subtracted(replace(src, t=t_opt)).success_prob)
-    if rate_opt <= 0.0:
-        return OptimumRecord(dist, t_opt, rate_opt, p_opt,
-                             (math.nan, math.nan), (math.nan, math.nan), False)
-    if with_bands:
+        lo = np.maximum(t_grid.lo, t_opt - 0.5 * span)
+        hi = np.minimum(t_grid.hi, t_opt + 0.5 * span)
+    has_key = rate_opt > 0.0
+    edges = np.full((4,) + shape, np.nan)
+    if with_bands and np.any(has_key):
         # edges in the order (90% lo, 90% hi, 50% lo, 50% hi)
-        edges = [float(e) for e in _band_edges(
-            rate_fn, t_opt, [t_grid.lo, t_grid.hi] * 2,
-            [0.9 * rate_opt] * 2 + [0.5 * rate_opt] * 2)]
-        band_90, band_50 = tuple(edges[:2]), tuple(edges[2:])
-    else:
-        band_90 = band_50 = (math.nan, math.nan)
-    return OptimumRecord(dist, t_opt, rate_opt, p_opt, band_90, band_50, True)
+        bounds = np.multiply.outer([t_grid.lo, t_grid.hi] * 2, np.ones(shape))
+        targets = np.multiply.outer([0.9, 0.9, 0.5, 0.5], rate_opt)
+        found = _band_edges(lambda t: evaluate(t)[0], t_opt, bounds, targets)
+        edges = np.where(has_key, found, np.nan)
+    lo90, hi90, lo50, hi50 = (_plain(e) for e in edges)
+    dist = math.nan if ch.distance_km is None else ch.distance_km
+    return OptimumRecord(dist, _plain(t_opt), _plain(rate_opt), _plain(p_opt),
+                         (lo90, hi90), (lo50, hi50), _plain(has_key))
 
 
-def _bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] until narrower than tol, keeping pred(lo) true.
+def _bisect(pred, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Halve every bracket [lo, hi] until narrower than tol, keeping pred(lo) true.
 
-    pred(hi) is taken to be false; the last bracket is returned.
+    lo and hi are arrays of brackets (or scalars), and pred maps an array
+    of points to a bool array; pred(hi) is taken to be false.  A bracket
+    stops moving once narrower than tol, so each ends where a bisection of
+    it alone would.  The last brackets are returned.
     """
-    while hi - lo >= tol:
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    live = hi - lo >= tol
+    while np.any(live):
         mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
+        up = pred(mid)
+        lo = np.where(live & up, mid, lo)
+        hi = np.where(live & np.logical_not(up), mid, hi)
+        live = hi - lo >= tol
     return lo, hi
 
 
-def tolerable_excess_noise(src: SourceSpec, distance_km: float,
-                           beta: float = DEFAULT_BETA,
-                           loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM
-                           ) -> tuple[float, bool]:
-    """Largest excess noise with a positive key rate at the given distance.
+def _noise_threshold(rate, shape) -> tuple:
+    """The search of tolerable_excess_noise, for every cell of shape at once.
 
-    Returns (eps_max, alive); alive is False (and eps_max 0) when the rate
-    is non-positive already in the noiseless channel.  The search brackets
+    rate maps noise values of shape (m,) + shape, or shape, to the key
+    rates of the cells.  Returns (eps_max, alive), each of shape.
+    """
+    def positive(eps):
+        return rate(eps) > 0.0
+
+    alive = positive(np.zeros(shape))
+    hi = np.full(shape, _EPS_BRACKET)
+    grow = alive & positive(hi)
+    while np.any(grow):
+        hi = np.where(grow, 2.0 * hi, hi)
+        if np.any(hi > 1e4):
+            raise DomainError("no finite noise threshold found below 1e4")
+        grow = grow & positive(hi)
+    # a dead cell gets the closed bracket [0, 0], so eps_max = 0
+    lo, hi = _bisect(positive, 0.0, np.where(alive, hi, 0.0), 1e-5)
+    eps_max = 0.5 * (lo + hi)
+    delta = 1e-4
+    check = alive & (eps_max > delta)
+    probe = np.where(check, eps_max, delta)
+    broken = check & np.logical_not(positive(probe - delta) & (rate(probe + delta) <= 0.0))
+    if np.any(broken):
+        # Non-monotone pocket: take the last sign change on a dense scan.
+        grid = np.linspace(0.0, hi + delta, 4097)
+        last = grid.shape[0] - 1 - np.argmax(positive(grid)[::-1], axis=0)
+        lo, hi = _bisect(positive, _at(grid, last),
+                         _at(grid, np.minimum(last + 1, grid.shape[0] - 1)), 1e-5)
+        eps_max = np.where(broken, 0.5 * (lo + hi), eps_max)
+    return _plain(eps_max), _plain(alive)
+
+
+def tolerable_excess_noise(src: SourceSpec, distance_km,
+                           beta: float = DEFAULT_BETA,
+                           loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM) -> tuple:
+    """Largest excess noise with a positive key rate at each given distance.
+
+    Returns (eps_max, alive) shaped like distance_km: a float and a bool
+    for one distance, arrays for an array of distances, which are all
+    searched together.  alive is False (and eps_max 0) where the rate is
+    non-positive already in the noiseless channel.  Each search brackets
     the zero crossing, bisects to 1e-5, and falls back to a dense scan if
     the bracket contract fails, since monotonicity in the noise is an
     observed property rather than a proven one.
     """
     rep = covariance_subtracted(src)
+    t_c = ChannelSpec(distance_km=distance_km, loss_db_per_km=loss_db_per_km).t_c
 
     def rate(eps):
-        ch = ChannelSpec(distance_km=distance_km,
-                         loss_db_per_km=loss_db_per_km, epsilon=eps)
-        cov = apply_channel(rep.cov, ch)
-        return float(key_rate_homodyne(cov, beta, success_prob=rep.success_prob).key_rate)
+        cov = apply_channel(rep.cov, ChannelSpec(t_c=t_c, epsilon=eps))
+        return key_rate_homodyne(cov, beta, success_prob=rep.success_prob).key_rate
 
-    def positive(eps):
-        return rate(eps) > 0.0
-
-    if not positive(0.0):
-        return 0.0, False
-    hi = _EPS_BRACKET
-    while positive(hi):
-        hi *= 2.0
-        if hi > 1e4:
-            raise DomainError("no finite noise threshold found below 1e4")
-    lo, hi = _bisect(positive, 0.0, hi, 1e-5)
-    eps_max = 0.5 * (lo + hi)
-    delta = 1e-4
-    if eps_max > delta and not (rate(eps_max - delta) > 0.0 >= rate(eps_max + delta)):
-        # Non-monotone pocket: take the last sign change on a dense scan.
-        grid = np.linspace(0.0, hi + delta, 4097)
-        vals = np.array([rate(e) for e in grid])
-        pos = np.nonzero(vals > 0.0)[0]
-        j = pos[-1]
-        lo, hi = _bisect(positive, grid[j], grid[min(j + 1, grid.size - 1)], 1e-5)
-        eps_max = 0.5 * (lo + hi)
-    return float(eps_max), True
+    return _noise_threshold(rate, np.shape(t_c))
 
 
 def max_distance(src: SourceSpec, beta: float = DEFAULT_BETA,
@@ -245,14 +274,14 @@ def max_distance(src: SourceSpec, beta: float = DEFAULT_BETA,
         ch = ChannelSpec(distance_km=d, loss_db_per_km=loss_db_per_km,
                          epsilon=epsilon)
         if t_grid is None:
-            return float(pipeline_key_rate(src, ch, beta).key_rate)
+            return pipeline_key_rate(src, ch, beta).key_rate
         return optimize_t(src, ch, beta, t_grid, with_bands=False).key_rate_opt
 
     if best(0.0) <= rate_floor:
         return 0.0
     if best(d_hi) > rate_floor:
         return d_hi
-    return _bisect(lambda d: best(d) > rate_floor, 0.0, d_hi, resolution_km)[0]
+    return float(_bisect(lambda d: best(d) > rate_floor, 0.0, d_hi, resolution_km)[0])
 
 
 def landscape(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
@@ -263,7 +292,7 @@ def landscape(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
     "none" ignores the tap, so its rates are flat in t.
     """
     pts = t_grid.points()
-    return pts, _rate_at(src, pts, ch, beta), optimize_t(src, ch, beta, t_grid)
+    return pts, _rates(src, ch, beta)(pts)[0], optimize_t(src, ch, beta, t_grid)
 
 
 def success_curves(v: float, k_list, t_samples) -> tuple[np.ndarray, dict[int, np.ndarray]]:

@@ -294,6 +294,14 @@ def _distance_grid(args) -> list[float]:
     return [args.d_lo + i * args.d_step for i in range(count)]
 
 
+def _columns(label, distances, *columns) -> list[list]:
+    """Rows [label, distance, cells...]; a scalar column repeats on every row.
+
+    tolist() gives Python floats and bools, which render as scalar results do."""
+    cells = (np.broadcast_to(c, (len(distances),)).tolist() for c in columns)
+    return [[label, d, *row] for d, *row in zip(distances, *cells)]
+
+
 def _resolve_seed(args) -> int:
     # randomized commands record the seed they actually used
     return args.seed if args.seed is not None else secrets.randbits(63)
@@ -330,13 +338,12 @@ def _cmd_fig2(args) -> int:
     labels = _split_list(args.schemes, "--schemes", str)
     distances = _distance_grid(args)
     sources = [_scheme_source(lbl, args.v, 0.5, args.eta_d) for lbl in labels]
+    ch = ChannelSpec(distance_km=distances, loss_db_per_km=args.loss, epsilon=args.eps)
     rows = []
     for lbl, src in zip(labels, sources):
-        for d in distances:
-            ch = ChannelSpec(distance_km=d, loss_db_per_km=args.loss, epsilon=args.eps)
-            rec = optimize_t(src, ch, args.beta, with_bands=False)
-            rows.append([lbl, d, rec.t_opt, rec.key_rate_opt, rec.success_prob_at_opt,
-                         rec.has_key])
+        rec = optimize_t(src, ch, args.beta, with_bands=False)
+        rows.extend(_columns(lbl, distances, rec.t_opt, rec.key_rate_opt,
+                             rec.success_prob_at_opt, rec.has_key))
     params = _echo(args, ("schemes", "v", "eta_d", "d_lo", "d_hi", "d_step",
                           "eps", "loss", "beta"))
     return _emit(args, params,
@@ -350,9 +357,8 @@ def _cmd_fig3(args) -> int:
     sources = [_scheme_source(lbl, args.v, args.t, args.eta_d) for lbl in labels]
     rows = []
     for lbl, src in zip(labels, sources):
-        for d in distances:
-            eps_max, alive = tolerable_excess_noise(src, d, args.beta, args.loss)
-            rows.append([lbl, d, eps_max, alive])
+        eps_max, alive = tolerable_excess_noise(src, distances, args.beta, args.loss)
+        rows.extend(_columns(lbl, distances, eps_max, alive))
     params = _echo(args, ("schemes", "v", "t", "eta_d", "d_lo", "d_hi", "d_step",
                           "loss", "beta"))
     return _emit(args, params, ["scheme", "distance_km", "eps_max", "alive"], rows)
@@ -417,13 +423,12 @@ def _cmd_fig5(args) -> int:
 def _cmd_fig6(args) -> int:
     etas = _split_list(args.eta_list, "--eta-list", float)
     distances = _distance_grid(args)
+    ch = ChannelSpec(distance_km=distances, loss_db_per_km=args.loss, epsilon=args.eps)
     rows = []
     for eta in etas:
         src = SourceSpec.k_photon(args.v, args.t, args.k, eta)
-        for d in distances:
-            ch = ChannelSpec(distance_km=d, loss_db_per_km=args.loss, epsilon=args.eps)
-            rep = pipeline_key_rate(src, ch, args.beta)
-            rows.append([eta, d, rep.key_rate, rep.success_prob, rep.is_secure])
+        rep = pipeline_key_rate(src, ch, args.beta)
+        rows.extend(_columns(eta, distances, rep.key_rate, rep.success_prob, rep.is_secure))
     params = _echo(args, ("v", "t", "k", "eta_list", "d_lo", "d_hi", "d_step",
                           "eps", "loss", "beta"))
     return _emit(args, params,

@@ -14,10 +14,12 @@ and an overall success probability multiplying the raw rate.
 
 Array evaluation
 ----------------
-The state parameters (v1, v2, phi), a success probability and the results
-may be NumPy arrays: every function here broadcasts elementwise through the
-same code that evaluates scalars, and every range or physicality check
-raises when any element fails it.  Channel parameters stay scalars.
+The state parameters (v1, v2, phi), a success probability, the channel's
+t_c and epsilon (or its distance) and the results may be NumPy arrays of
+broadcastable shapes: every function here evaluates one NumPy expression
+for any shape, and every range or physicality check raises when any element
+fails it, naming the first failing element.  A scalar input gives Python
+float and bool results.
 """
 
 from __future__ import annotations
@@ -28,13 +30,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .batch import all_set, any_set, at_least, first_where, sqrt
 from .errors import DomainError, InvalidStateError, SingularityError
 
 LN2 = math.log(2.0)
 
 # A symplectic eigenvalue this far below 1 still counts as physical (rounding slack).
 PHYSICALITY_TOL = 1e-9
+
+
+def _plain(x):
+    """A single value as a Python float or bool; arrays pass through."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+def _first(mask, *values) -> tuple:
+    """For error messages: the values at mask's first set element, as Python scalars."""
+    i = np.flatnonzero(mask)[0]
+    return tuple(np.broadcast_to(v, np.shape(mask)).flat[i].item() for v in values)
 
 
 @dataclass(frozen=True)
@@ -44,8 +56,8 @@ class TwoModeCovariance:
     The dataclass performs no validation: unphysical parameter triples are
     representable on purpose so that :func:`check_physicality` can be a total
     function.  Operations that require physicality check it themselves.  The
-    parameters may be arrays of one shape, a batch of states; matrix() and
-    as_tuple() are for single states.
+    parameters may be arrays of broadcastable shapes, a batch of states;
+    matrix() and as_tuple() are for single states.
     """
 
     v1: float
@@ -69,6 +81,10 @@ class TwoModeCovariance:
 class ChannelSpec:
     """Thermal-loss channel, given either directly or through a fiber length.
 
+    t_c, epsilon and distance_km may be arrays of broadcastable shapes (lists
+    are converted), a batch of channels such as a distance axis; they are
+    stored as floats when scalar.
+
     Parameters
     ----------
     t_c : float, optional
@@ -78,7 +94,7 @@ class ChannelSpec:
         Excess noise referred to the channel input, >= 0.
     distance_km, loss_db_per_km : float, optional
         Fiber form; t_c = 10**(-loss_db_per_km * distance_km / 10).  When both
-        forms are given they must agree to 1e-12.
+        forms are given they must agree to 1e-12.  loss_db_per_km is a scalar.
     """
 
     t_c: float | None = None
@@ -91,24 +107,32 @@ class ChannelSpec:
         if self.distance_km is not None:
             if self.loss_db_per_km is None:
                 raise DomainError("distance_km given without loss_db_per_km")
-            if self.distance_km < 0 or self.loss_db_per_km < 0:
+            distance = np.asarray(self.distance_km, dtype=float)
+            if np.any(distance < 0) or self.loss_db_per_km < 0:
                 raise DomainError("distance and loss must be non-negative")
-            derived = 10.0 ** (-self.loss_db_per_km * self.distance_km / 10.0)
+            # Python's ** per element: NumPy's array power can differ in the last bit.
+            derived = np.array([10.0 ** (-self.loss_db_per_km * d / 10.0)
+                                for d in distance.ravel().tolist()]).reshape(distance.shape)
             if t_c is None:
                 t_c = derived
-            elif abs(t_c - derived) > 1e-12:
-                raise DomainError(
-                    f"t_c={t_c} inconsistent with distance form (expected {derived})"
-                )
+            elif np.any(np.abs(np.asarray(t_c, dtype=float) - derived) > 1e-12):
+                raise DomainError(f"t_c={t_c} inconsistent with distance form "
+                                  f"(expected {_plain(derived)})")
+            object.__setattr__(self, "distance_km", _plain(distance))
         elif self.loss_db_per_km is not None:
             raise DomainError("loss_db_per_km given without distance_km")
         if t_c is None:
             raise DomainError("ChannelSpec needs t_c or the distance form")
-        if not (0.0 < t_c <= 1.0):
-            raise DomainError(f"t_c must lie in (0, 1], got {t_c}")
-        if self.epsilon < 0.0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
-        object.__setattr__(self, "t_c", float(t_c))
+        t_c = np.asarray(t_c, dtype=float)
+        bad = np.logical_not((0.0 < t_c) & (t_c <= 1.0))
+        if np.any(bad):
+            raise DomainError(f"t_c must lie in (0, 1], got {_first(bad, t_c)[0]}")
+        epsilon = np.asarray(self.epsilon, dtype=float)
+        bad = np.logical_not(epsilon >= 0.0)  # a NaN fails too
+        if np.any(bad):
+            raise DomainError(f"epsilon must be >= 0, got {_first(bad, epsilon)[0]}")
+        object.__setattr__(self, "t_c", _plain(t_c))
+        object.__setattr__(self, "epsilon", _plain(epsilon))
 
     @property
     def chi(self) -> float:
@@ -120,7 +144,7 @@ class ChannelSpec:
 class KeyRateReport:
     """Decomposition of one key-rate evaluation (bits per emitted symbol).
 
-    The fields are arrays of one shape for a batch of states.
+    The fields are arrays for a batch of states or channels.
     """
 
     mutual_info: float
@@ -133,8 +157,7 @@ class KeyRateReport:
     @property
     def is_secure(self):
         """True iff the key rate is positive (a bool array for a batch)."""
-        secure = self.key_rate > 0.0
-        return secure if isinstance(secure, np.ndarray) else bool(secure)
+        return _plain(self.key_rate > 0.0)
 
 
 def _physicality(cov: TwoModeCovariance):
@@ -154,8 +177,8 @@ def _physicality(cov: TwoModeCovariance):
     delta = v1 * v1 + v2 * v2 - 2.0 * phi * phi
     gap, total = v1 - v2, v1 + v2
     disc = gap * gap * (total * total - 4.0 * phi * phi)
-    real = disc >= -1e-12 * at_least(delta * delta, 1.0)
-    lo = (delta - sqrt(at_least(disc, 0.0))) / 2.0
+    real = disc >= -1e-12 * np.maximum(delta * delta, 1.0)
+    lo = (delta - np.sqrt(np.maximum(disc, 0.0))) / 2.0
     floor = 1.0 - PHYSICALITY_TOL
     good = real & (v1 >= floor) & (v2 >= floor) & (lo >= floor * floor)
     return good, real, lo, delta
@@ -169,7 +192,7 @@ def check_physicality(cov: TwoModeCovariance):
     """
     with np.errstate(invalid="ignore", over="ignore"):
         good = _physicality(cov)[0]
-    return good if isinstance(good, np.ndarray) else bool(good)
+    return _plain(good)
 
 
 def symplectic_eigenvalues(cov: TwoModeCovariance):
@@ -183,9 +206,9 @@ def symplectic_eigenvalues(cov: TwoModeCovariance):
     carry rounding noise of order sqrt(machine epsilon).
     """
     good, real, lo, delta = _physicality(cov)
-    if not all_set(good):
-        is_real, lo_i, *state = first_where(np.logical_not(good), real, lo,
-                                            cov.v1, cov.v2, cov.phi)
+    if not np.all(good):
+        is_real, lo_i, *state = _first(np.logical_not(good), real, lo,
+                                       cov.v1, cov.v2, cov.phi)
         state = TwoModeCovariance(*state)
         if not is_real:
             raise InvalidStateError(f"complex symplectic spectrum for {state}")
@@ -195,8 +218,8 @@ def symplectic_eigenvalues(cov: TwoModeCovariance):
             f"non-physical covariance {state}: smallest symplectic eigenvalue "
             f"{math.sqrt(lo_i)}")
     d = cov.v1 * cov.v2 - cov.phi * cov.phi
-    root = sqrt(at_least(delta * delta - 4.0 * d * d, 0.0))
-    return sqrt((delta + root) / 2.0), sqrt(at_least((delta - root) / 2.0, 0.0))
+    root = np.sqrt(np.maximum(delta * delta - 4.0 * d * d, 0.0))
+    return np.sqrt((delta + root) / 2.0), np.sqrt(np.maximum((delta - root) / 2.0, 0.0))
 
 
 def _entropy(x):
@@ -211,8 +234,8 @@ def entropy_term(x):
     ``x`` is the mean thermal photon number (lam - 1)/2 of a symplectic
     eigenvalue lam.
     """
-    if any_set(x < 0.0):
-        raise DomainError(f"entropy_term needs x >= 0, got {first_where(x < 0.0, x)[0]}")
+    if np.any(x < 0.0):
+        raise DomainError(f"entropy_term needs x >= 0, got {_first(x < 0.0, x)[0]}")
     return _entropy(x)
 
 
@@ -223,14 +246,13 @@ def apply_channel(cov: TwoModeCovariance, ch: ChannelSpec) -> TwoModeCovariance:
     chi = (1 - t_c)/t_c + epsilon.  t_c = 1, epsilon = 0 is the identity.
     """
     good = _physicality(cov)[0]
-    if not all_set(good):
-        state = TwoModeCovariance(*first_where(np.logical_not(good),
-                                               cov.v1, cov.v2, cov.phi))
+    if not np.all(good):
+        state = TwoModeCovariance(*_first(np.logical_not(good), cov.v1, cov.v2, cov.phi))
         raise InvalidStateError(f"apply_channel needs a physical input, got {state}")
     return TwoModeCovariance(
         v1=cov.v1,
         v2=ch.t_c * (cov.v2 + ch.chi),
-        phi=math.sqrt(ch.t_c) * cov.phi,
+        phi=np.sqrt(ch.t_c) * cov.phi,
     )
 
 
@@ -258,34 +280,34 @@ def key_rate_homodyne(
     if not (0.0 < beta <= 1.0):
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
     in_range = (0.0 <= success_prob) & (success_prob <= 1.0)
-    if not all_set(in_range):
+    if not np.all(in_range):
         bad = np.logical_not(in_range)
         raise DomainError(f"success_prob must lie in [0, 1], got "
-                          f"{first_where(bad, success_prob)[0]}")
+                          f"{_first(bad, success_prob)[0]}")
     v1, v2, phi = cov.v1, cov.v2, cov.phi
-    if any_set(v2 == 0.0):
+    if np.any(v2 == 0.0):
         raise SingularityError("key_rate_homodyne: v2 = 0")
 
     va = (v1 + 1.0) / 2.0
     va_cond = va - phi * phi / (2.0 * v2)
-    if any_set(va_cond <= 0.0):
-        state = TwoModeCovariance(*first_where(va_cond <= 0.0, v1, v2, phi))
+    if np.any(va_cond <= 0.0):
+        state = TwoModeCovariance(*_first(va_cond <= 0.0, v1, v2, phi))
         raise InvalidStateError(f"negative conditional variance for {state}")
     mutual_info = 0.5 * np.log2(va / va_cond)
 
     lam1, lam2 = symplectic_eigenvalues(cov)
-    lam3 = sqrt(at_least(v1 * (v1 - phi * phi / v2), 0.0))
+    lam3 = np.sqrt(np.maximum(v1 * (v1 - phi * phi / v2), 0.0))
     x1, x2, x3 = (lam1 - 1.0) / 2.0, (lam2 - 1.0) / 2.0, (lam3 - 1.0) / 2.0
     # lam1 >= lam2 passed the physicality test, so x1 and x2 are at worst
     # rounding below zero; the conditional eigenvalue lam3 gets a 2e-9 slack.
-    if any_set(x3 < -1e-9):
-        *state, lam = first_where(x3 < -1e-9, v1, v2, phi, lam3)
+    if np.any(x3 < -1e-9):
+        *state, lam = _first(x3 < -1e-9, v1, v2, phi, lam3)
         raise InvalidStateError(f"conditional symplectic eigenvalue {lam} below 1 "
                                 f"for {TwoModeCovariance(*state)}")
     holevo = (
-        _entropy(at_least(x1, 0.0))
-        + _entropy(at_least(x2, 0.0))
-        - _entropy(at_least(x3, 0.0))
+        _entropy(np.maximum(x1, 0.0))
+        + _entropy(np.maximum(x2, 0.0))
+        - _entropy(np.maximum(x3, 0.0))
     )
     raw = beta * mutual_info - holevo
     return KeyRateReport(

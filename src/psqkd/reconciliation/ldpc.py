@@ -157,6 +157,8 @@ def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
     only those are excluded.  Candidates come from a lazy-deletion heap.
     Deterministic for a given seed (ties broken by pre-drawn random keys).
     """
+    if not 1 <= m < n:
+        raise DomainError(f"need 1 <= m < n, got n={n} m={m}")
     degrees = _degree_sequence(n, profile)
     n_edges = int(degrees.sum())
     if n_edges < 2 * m:

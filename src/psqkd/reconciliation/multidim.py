@@ -20,7 +20,6 @@ gets exactly (the calibration test gates this).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -68,7 +67,6 @@ def encode_side_info(y_blocks, bits):
     return rotation_coefficients(y_unit, u), u
 
 
-@functools.lru_cache(maxsize=256)
 def mu_of_snr(snr: float, n_radial: int = 32, n_normal: int = 40,
               n_residual: int = 32) -> float:
     """Mean alignment mu = E[cos theta] between rotated blocks at a given snr.

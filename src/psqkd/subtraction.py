@@ -20,8 +20,8 @@ sum_{m>=k} C(m, k) x^(m-k) = (1 - x)^-(k+1), where x = (1 - eta_d) r, gives
 and the on-off scheme follows from the k = 0 term.  For eta_d = 1 (x = 0)
 these are the ideal-counter laws, evaluated by the same expressions.
 
-The tap transmittance T may be a NumPy array: every closed form here
-broadcasts over it, through the same code that evaluates a scalar T.
+The tap transmittance T may be a NumPy array: every closed form here is one
+NumPy expression that broadcasts over it, and a scalar T gives floats.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .batch import all_set, first_where, select, sqrt
 from .errors import DomainError
-from .gaussian import TwoModeCovariance
+from .gaussian import TwoModeCovariance, _first, _plain
 
 SCHEME_NONE = "none"
 SCHEME_K_PHOTON = "k_photon"
@@ -71,15 +70,14 @@ class SourceSpec:
         elif isinstance(self.t, (list, tuple)):
             object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         t = self.t
-        in_range = (0.0 < t) & (t <= 1.0)
-        if not all_set(in_range):
-            bad = first_where(np.logical_not(in_range), t)[0]
-            raise DomainError(f"t must lie in (0, 1], got {bad}")
+        bad = np.logical_not((0.0 < t) & (t <= 1.0))
+        if np.any(bad):
+            raise DomainError(f"t must lie in (0, 1], got {_first(bad, t)[0]}")
         if self.scheme == SCHEME_K_PHOTON and not (0 <= self.k <= K_MAX):
             raise DomainError(f"k must lie in [0, {K_MAX}], got {self.k}")
         if not (0.0 < self.eta_d <= 1.0):
             raise DomainError(f"eta_d must lie in (0, 1], got {self.eta_d}")
-        if not all_set(t * self.lambda2 < 1.0):
+        if not np.all(t * self.lambda2 < 1.0):
             raise DomainError("t * lambda^2 must be < 1")
 
     @property
@@ -135,7 +133,7 @@ class SubtractionReport:
         """
         v1, v2 = self.cov.v1, self.cov.v2
         vacuum = v1 <= 1.0
-        return select(vacuum, 1.0, (v2 - 1.0) / select(vacuum, 1.0, v1 - 1.0))
+        return _plain(np.where(vacuum, 1.0, (v2 - 1.0) / np.where(vacuum, 1.0, v1 - 1.0)))
 
 
 def _tap_law(src: SourceSpec):
@@ -197,7 +195,7 @@ def _cov_from_v_tilde(lam, t, vt) -> TwoModeCovariance:
     return TwoModeCovariance(
         v1=2.0 * vt - 1.0,
         v2=2.0 * t * lam * lam * vt + 1.0,
-        phi=2.0 * sqrt(t) * lam * vt,
+        phi=2.0 * np.sqrt(t) * lam * vt,
     )
 
 

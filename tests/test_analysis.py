@@ -15,6 +15,7 @@ import pytest
 from psqkd.analysis import (
     OptimumRecord,
     TGrid,
+    _noise_threshold,
     beta_from_rate_snr,
     landscape,
     max_distance,
@@ -27,7 +28,7 @@ from psqkd.analysis import (
 )
 from psqkd.errors import DomainError
 from psqkd.gaussian import ChannelSpec
-from psqkd.subtraction import SourceSpec
+from psqkd.subtraction import SourceSpec, covariance_subtracted
 
 # Paper-reported (code rate, SNR, beta) operating points.
 TABLE_ROWS = [
@@ -155,14 +156,34 @@ def scalar_optimum(src, ch, beta, grid):
     SourceSpec.k_photon(20.0, 0.5, 1),
     SourceSpec.k_photon(20.0, 0.5, 2, eta_d=0.6),
     SourceSpec.on_off(12.0, 0.5, eta_d=0.8),
+    SourceSpec.tmsv(20.0),
 ])
 def test_array_optimizer_equals_scalar_loop(src):
     grid = TGrid(count=40, refinements=2)
     rec = optimize_t(src, channel(60.0), 0.95, grid)
     t_opt, rate_opt, bands = scalar_optimum(src, channel(60.0), 0.95, grid)
-    assert rec.has_key
+    assert rec.has_key is True
     assert (rec.t_opt, rec.key_rate_opt) == (t_opt, rate_opt)
     assert [rec.band_90, rec.band_50] == bands
+    assert rec.success_prob_at_opt == \
+        covariance_subtracted(replace(src, t=t_opt)).success_prob
+    assert all(type(x) is float for x in (rec.t_opt, rec.key_rate_opt, *rec.band_90))
+
+    # a distance axis: one optimization, each cell equal to the scalar loop there
+    distances = [0.0, 35.0, 60.0, 110.0, 170.0]
+    batch = optimize_t(src, channel(np.array(distances)), 0.95, grid)
+    for i, d in enumerate(distances):
+        t_opt, rate_opt, bands = scalar_optimum(src, channel(d), 0.95, grid)
+        assert (batch.t_opt[i], batch.key_rate_opt[i]) == (t_opt, rate_opt)
+        assert batch.success_prob_at_opt[i] == \
+            covariance_subtracted(replace(src, t=t_opt)).success_prob
+        assert batch.has_key[i] == (rate_opt > 0.0)
+        cells = [(batch.band_90[0][i], batch.band_90[1][i]),
+                 (batch.band_50[0][i], batch.band_50[1][i])]
+        if rate_opt > 0.0:
+            assert cells == bands
+        else:
+            assert np.isnan(cells).all()
 
 
 class TestTolerableNoise:
@@ -180,7 +201,39 @@ class TestTolerableNoise:
 
     def test_dead_at_zero_noise_flags(self):
         eps, alive = tolerable_excess_noise(SourceSpec.tmsv(20.0), 250.0)
-        assert eps == 0.0 and not alive
+        assert eps == 0.0 and alive is False
+
+    def test_distance_array_is_searched_cell_by_cell(self):
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        distances = [0.0, 50.0, 250.0, 700.0]
+        eps, alive = tolerable_excess_noise(src, np.array(distances))
+        assert eps.shape == alive.shape == (4,)
+        for i, d in enumerate(distances):
+            assert (eps[i], alive[i]) == tolerable_excess_noise(src, d)
+        assert list(alive) == [True, True, True, False] and eps[3] == 0.0
+
+    def test_dense_scan_returns_the_last_sign_change(self):
+        # Cell 0 is positive below 0.37.  Cell 1 is positive below 0.01 and
+        # in the pocket [0.01009, 0.0101): the bisection from [0, 0.5] lands
+        # on the first sign change near 0.01, its probe 1e-4 above lies in the
+        # pocket, so the bracket contract fails and the dense scan must find
+        # the pocket's upper end.
+        first, pocket_lo, pocket_hi = np.array([0.37, 0.01]), [1.0, 0.01009], [1.0, 0.0101]
+        scans = []
+
+        def rate(eps):
+            scans.append(np.shape(eps))
+            inside = (eps < first) | ((pocket_lo <= eps) & (eps < pocket_hi))
+            return np.where(inside, 1.0, -1.0)
+
+        eps_max, alive = _noise_threshold(rate, (2,))
+        assert list(alive) == [True, True]
+        assert (4097, 2) in scans
+        assert abs(eps_max[1] - pocket_hi[1]) < 1e-5
+        assert abs(eps_max[0] - 0.37) < 1e-5
+        # a cell's answer does not depend on its neighbour taking the scan
+        alone, _ = _noise_threshold(lambda e: np.where(e < 0.37, 1.0, -1.0), ())
+        assert eps_max[0] == alone
 
 
 class TestMaxDistance:

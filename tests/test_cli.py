@@ -1,8 +1,10 @@
 """Command-line checks: worked examples, config semantics, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +266,36 @@ class TestSweepCommands:
         _, rows = csv_rows(text)
         rate = {r[0]: float(r[2]) for r in rows}
         assert rate["1"] > rate["0.5"] > 0.0
+
+
+# The benchmark's golden sweep artifacts, read here and never written.
+GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "full" / "sweep"
+# fig2 --d-step 2 --eta-d 0.5: its golden file predates the exact counter-loss
+# sum and differs in 17 key_rate cells (within the benchmark's rtol), so the
+# current bytes are pinned by digest instead.
+FIG2_LOSSY_SHA256 = "8a3038dcb50845d24c042df8ea680e7201cfef6d183cc07083fe093e9ad62579"
+
+
+class TestSweepBytes:
+    """Whole sweeps byte for byte.  An argmax tie that flips (fig2_ideal k1 at
+    118 km sits on a flat maximum) moves t_opt by 1.5e-4 relative, which a
+    check within rtol 1e-6 on a few cells would not see."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (["fig2", "--d-step", "1"], ["fig2_ideal.csv"]),
+        (["fig3", "--d-step", "1"], ["fig3.csv"]),
+        (["fig4"], ["fig4.csv", "fig4_optima.csv"]),
+        (["fig6", "--d-step", "5"], ["fig6.csv"]),
+    ])
+    def test_sweep_equals_golden_bytes(self, tmp_path, argv, names):
+        assert main(argv + ["--out", str(tmp_path / names[0])]) == 0
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (GOLDEN_SWEEP / name).read_bytes(), name
+
+    def test_lossy_fig2_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "fig2_lossy.csv"
+        assert main(["fig2", "--d-step", "2", "--eta-d", "0.5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG2_LOSSY_SHA256
 
 
 class TestSimulationCommands:

@@ -9,6 +9,9 @@ Over random (v, t, k, eta_d, distance, epsilon):
   oracle, which computes them by explicit state-vector numerics and shares
   no code with them.
 
+- the array noise search over a vector of distances equals, bit for bit,
+  a verbatim copy of the scalar search it replaced, called per distance.
+
 Regression tests check that a single out-of-range or non-physical element
 of a batch still raises: vectorisation drops no check.
 """
@@ -21,8 +24,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psqkd.analysis import pipeline_key_rate
-from psqkd.errors import DomainError, InvalidStateError, SingularityError
+from psqkd.analysis import pipeline_key_rate, tolerable_excess_noise
+from psqkd.errors import DomainError, InvalidStateError, PsqkdError, SingularityError
 from psqkd.fock import apply_detector_loss, build_split_tmsv, condition_on_count
 from psqkd.gaussian import (
     ChannelSpec,
@@ -93,6 +96,69 @@ def test_key_rate_batch_equals_scalar_evaluations(src, ts, distance, epsilon):
         assert_same(getattr(batch, field), [getattr(s, field) for s in singles])
     assert list(np.broadcast_to(batch.is_secure, (len(ts),))) == \
         [s.is_secure for s in singles]
+
+
+def scalar_noise_search(src, distance_km, beta, loss_db_per_km):
+    """The scalar tolerable_excess_noise and _bisect as they were before the
+    array search, verbatim but for the names."""
+    def bisect(pred, lo, hi, tol):
+        while hi - lo >= tol:
+            mid = 0.5 * (lo + hi)
+            if pred(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    rep = covariance_subtracted(src)
+
+    def rate(eps):
+        ch = ChannelSpec(distance_km=distance_km,
+                         loss_db_per_km=loss_db_per_km, epsilon=eps)
+        cov = apply_channel(rep.cov, ch)
+        return float(key_rate_homodyne(cov, beta, success_prob=rep.success_prob).key_rate)
+
+    def positive(eps):
+        return rate(eps) > 0.0
+
+    if not positive(0.0):
+        return 0.0, False
+    hi = 0.5
+    while positive(hi):
+        hi *= 2.0
+        if hi > 1e4:
+            raise DomainError("no finite noise threshold found below 1e4")
+    lo, hi = bisect(positive, 0.0, hi, 1e-5)
+    eps_max = 0.5 * (lo + hi)
+    delta = 1e-4
+    if eps_max > delta and not (rate(eps_max - delta) > 0.0 >= rate(eps_max + delta)):
+        grid = np.linspace(0.0, hi + delta, 4097)
+        vals = np.array([rate(e) for e in grid])
+        pos = np.nonzero(vals > 0.0)[0]
+        j = pos[-1]
+        lo, hi = bisect(positive, grid[j], grid[min(j + 1, grid.size - 1)], 1e-5)
+        eps_max = 0.5 * (lo + hi)
+    return float(eps_max), True
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(src=sources(), t=st.floats(0.01, 1.0, **finite),
+       distances=st.lists(st.floats(0.0, 400.0, **finite), min_size=1, max_size=8),
+       beta=st.floats(0.8, 1.0, **finite))
+def test_noise_search_equals_scalar_search(src, t, distances, beta):
+    src = replace(src, t=t)
+    singles = []
+    for d in distances:
+        try:
+            singles.append(scalar_noise_search(src, d, beta, 0.2))
+        except PsqkdError as exc:
+            singles.append(type(exc))
+    if any(isinstance(s, type) for s in singles):
+        with pytest.raises(PsqkdError):
+            tolerable_excess_noise(src, np.array(distances), beta, 0.2)
+        return
+    eps_max, alive = tolerable_excess_noise(src, np.array(distances), beta, 0.2)
+    assert [(e, a) for e, a in zip(eps_max.tolist(), alive.tolist())] == singles
 
 
 @ORACLE
@@ -207,3 +273,54 @@ def test_key_rate_checks_fire_per_element(position):
         key_rate_homodyne(TwoModeCovariance(v1, with_bad(v2, position, 0.0), phi), 0.95)
     with pytest.raises(DomainError):
         entropy_term(with_bad(np.ones(8), position, -0.1))
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize("bad_t_c", [0.0, -0.2, 1.5, math.nan])
+def test_one_channel_transmittance_outside_unit_interval_raises(position, bad_t_c):
+    t_c = with_bad(np.linspace(0.1, 0.9, 8), position, bad_t_c)
+    with pytest.raises(DomainError, match="t_c must lie in"):
+        ChannelSpec(t_c=t_c, epsilon=0.01)
+    with pytest.raises(DomainError, match="t_c must lie in"):
+        ChannelSpec(t_c=list(t_c), epsilon=np.full(8, 0.01))
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize("bad_eps", [-0.01, -1e-300, math.nan])
+def test_one_negative_or_nan_excess_noise_raises(position, bad_eps):
+    eps = with_bad(np.full(8, 0.01), position, bad_eps)
+    with pytest.raises(DomainError, match="epsilon must be >= 0"):
+        ChannelSpec(t_c=0.5, epsilon=eps)
+    with pytest.raises(DomainError, match="epsilon must be >= 0"):
+        ChannelSpec(distance_km=np.linspace(0.0, 70.0, 8), loss_db_per_km=0.2, epsilon=eps)
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize("bad_d", [-1.0, math.nan])
+def test_one_bad_distance_raises(position, bad_d):
+    distances = with_bad(np.linspace(0.0, 70.0, 8), position, bad_d)
+    with pytest.raises(DomainError):
+        ChannelSpec(distance_km=distances, loss_db_per_km=0.2)
+    with pytest.raises(DomainError):
+        tolerable_excess_noise(SourceSpec.k_photon(20.0, 0.8, 1), distances)
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+def test_one_inconsistent_fiber_element_raises(position):
+    fiber = ChannelSpec(distance_km=np.linspace(0.0, 70.0, 8), loss_db_per_km=0.2)
+    ChannelSpec(t_c=fiber.t_c, distance_km=fiber.distance_km, loss_db_per_km=0.2)
+    t_c = with_bad(fiber.t_c, position, fiber.t_c[position] * 0.99)
+    with pytest.raises(DomainError, match="inconsistent"):
+        ChannelSpec(t_c=t_c, distance_km=fiber.distance_km, loss_db_per_km=0.2)
+
+
+def test_channel_batch_keeps_single_channel_types():
+    one = ChannelSpec(distance_km=50, loss_db_per_km=0.2, epsilon=0)
+    assert type(one.t_c) is float and type(one.epsilon) is float
+    assert type(one.distance_km) is float
+    batch = ChannelSpec(distance_km=[10.0, 50.0], loss_db_per_km=0.2, epsilon=0.01)
+    assert batch.t_c.shape == (2,) and batch.t_c[1] == one.t_c
+    rep = pipeline_key_rate(SourceSpec.k_photon(20.0, 0.8, 1), one)
+    assert type(rep.is_secure) is bool
+    assert rep.key_rate == pipeline_key_rate(SourceSpec.k_photon(20.0, 0.8, 1),
+                                             replace(batch, epsilon=0.0)).key_rate[1]

@@ -271,6 +271,12 @@ class TestLdpcGraph:
         with pytest.raises(DomainError):
             peg_construct(100, 90, {2: 0.5}, seed=0)
 
+    @pytest.mark.parametrize("m", [0, -1, 10])
+    def test_check_count_outside_one_to_n_is_a_domain_error(self, m):
+        # m = 0 once divided by zero in the check-row width before any check
+        with pytest.raises(DomainError, match="1 <= m < n"):
+            peg_construct(10, m, {2: 1.0}, seed=1)
+
 
 class TestAlist:
     def test_round_trip(self, code512, tmp_path):
