@@ -8,9 +8,10 @@ number measurement that follows it, so it is carried as the counter's
 efficiency eta: a tap count l registers c counts with the binomial
 probability C(l, c) eta^c (1-eta)^(l-c).  Click probabilities and
 conditional covariances are read off the amplitudes with ladder-operator
-matrix elements, summed per tap count and weighted by that response.  This
-is a cross-validation tool, not a performance path: the closed forms stay
-authoritative at large squeezing where the required cutoff grows.
+matrix elements, summed per tap count and weighted by that response; both
+are evaluated in logs, log n! coming from one cumulative sum of NumPy logs.
+This is a cross-validation tool, not a performance path: the closed forms
+stay authoritative at large squeezing where the required cutoff grows.
 
 Mode labels: ``a`` is the mode the sender keeps, ``b1`` feeds the photon
 counter, ``b2`` is transmitted to the receiver.
@@ -22,10 +23,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import ConditioningError, DomainError, InvalidStateError, TruncationError
-from .gaussian import TwoModeCovariance
+from .gaussian import TwoModeCovariance, _xlogy
 
 ON_OFF = "on_off"
 
@@ -122,6 +122,11 @@ class ConditionedMoments:
         return TwoModeCovariance(v1=self.va_x, v2=self.vb_x, phi=self.phi_x)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log m! for m = 0 .. n, as one cumulative sum of logs."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+
+
 def suggested_cutoff(v: float, tol: float = 1e-9) -> int:
     """Smallest per-mode cutoff keeping the squeezing tail at or below tol.
 
@@ -188,16 +193,14 @@ def build_split_tmsv(
     shells = np.arange(cutoff + 1)
     na = np.repeat(shells, shells + 1)
     l = np.concatenate([np.arange(n + 1) for n in shells])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_amp = 0.5 * (
-            math.log1p(-lam2)
-            + special.xlogy(na, lam2)
-            + special.gammaln(na + 1)
-            - special.gammaln(l + 1)
-            - special.gammaln(na - l + 1)
-            + special.xlogy(na - l, t)
-            + special.xlogy(l, 1.0 - t)
-        )
+    log_fact = _log_factorials(cutoff)
+    log_amp = 0.5 * (
+        math.log1p(-lam2)
+        + _xlogy(na, lam2)
+        + log_fact[na] - log_fact[l] - log_fact[na - l]
+        + _xlogy(na - l, t)
+        + _xlogy(l, 1.0 - t)
+    )
     amp = np.exp(log_amp)
     keep = amp > 0.0
     return FockState(
@@ -222,22 +225,24 @@ def _count_response(state: FockState, k) -> np.ndarray:
     """Probability that the counter reports outcome k, per tap count l.
 
     k is a count >= 0 or "on_off".  A tap count l registers c counts with
-    probability C(l, c) eta^c (1-eta)^(l-c); the on-off outcome sums this
-    over c >= 1, which is one minus the no-count term (1-eta)^l.
+    probability C(l, c) eta^c (1-eta)^(l-c), evaluated in logs with
+    log C(l, c) read from the log-factorial table; the on-off outcome sums
+    this over c >= 1, which is one minus the no-count term (1-eta)^l.
     """
     l = np.arange(state.cutoff + 1)
     eta = state.eta_d
     if isinstance(k, str):
         if k != ON_OFF:
             raise DomainError(f"k must be a count >= 0 or {ON_OFF!r}, got {k!r}")
-        return -np.expm1(special.xlog1py(l, -eta))
+        return -np.expm1(_xlogy(l, 1.0 - eta))
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    k = int(k)
-    miss = np.maximum(l - k, 0)
-    # log C(l, k) = -log(l + 1) - log B(l - k + 1, k + 1)
-    log_p = (special.xlogy(k, eta) + special.xlog1py(miss, -eta)
-             - np.log1p(l) - special.betaln(miss + 1, k + 1))
+    # tap counts l < k cannot give k counts; hit = min(l, k) keeps the table in range
+    hit = np.minimum(l, int(k))
+    miss = l - hit
+    log_fact = _log_factorials(state.cutoff)
+    log_p = (_xlogy(hit, eta) + _xlogy(miss, 1.0 - eta)
+             + log_fact[l] - log_fact[hit] - log_fact[miss])
     return np.where(l >= k, np.exp(log_p), 0.0)
 
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InvalidStateError, SingularityError
 
@@ -222,10 +221,18 @@ def symplectic_eigenvalues(cov: TwoModeCovariance):
     return np.sqrt((delta + root) / 2.0), np.sqrt(np.maximum((delta - root) / 2.0, 0.0))
 
 
+def _xlogy(x, y):
+    """x log y, taken as 0 wherever x is 0, also where y is 0 (0 log 0 = 0)."""
+    with np.errstate(divide="ignore"):
+        return x * np.log(np.where(x == 0, 1.0, y))
+
+
 def _entropy(x):
-    # special.xlogy evaluates x log x with the C library's log on scalars and
-    # arrays alike, so a batch gives the same bits as its elements one by one.
-    return (special.xlogy(x + 1.0, x + 1.0) - special.xlogy(x, x)) / LN2
+    # NumPy's SIMD log (not libm's) runs one loop for scalars and arrays, so a
+    # batch gives its elements' bits.  x + (x == 0) takes log 1 at x = 0 (pure
+    # states) with no warning: np.errstate costs more than g on small arrays.
+    xp1 = x + 1.0
+    return (xp1 * np.log(xp1) - x * np.log(x + (x == 0.0))) / LN2
 
 
 def entropy_term(x):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from ..errors import DegenerateBlockError, DomainError
 from .bp import decode_syndrome
@@ -76,6 +75,7 @@ def mu_of_snr(snr: float, n_radial: int = 32, n_normal: int = 40,
     through Hermite, the orthogonal noise power q (chi-square_7) through
     Laguerre alpha=2.5 in q/2.
     """
+    from scipy import special  # the only SciPy use; kept off the import path
     if snr <= 0.0:
         raise DomainError(f"snr must be > 0, got {snr}")
     rho2 = snr / (1.0 + snr)

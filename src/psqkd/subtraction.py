@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
-from .gaussian import TwoModeCovariance, _first, _plain
+from .gaussian import TwoModeCovariance, _first, _plain, _xlogy
 
 SCHEME_NONE = "none"
 SCHEME_K_PHOTON = "k_photon"
@@ -242,13 +241,7 @@ def filter_q(x_a, p_a, src: SourceSpec):
     if src.scheme == SCHEME_ON_OFF:
         q = -np.expm1(-u)
     else:
-        k = src.k
-        if k == 0:
-            q = np.exp(-u)
-        else:
-            with np.errstate(divide="ignore"):
-                log_q = special.xlogy(k, u) - u - special.gammaln(k + 1.0)
-            q = np.exp(log_q)
+        q = np.exp(_xlogy(src.k, u) - u - math.lgamma(src.k + 1))
     if q.shape == ():
         return float(q)
     return q

@@ -323,7 +323,7 @@ def test_reconciliation_suite_and_desk_scale_bench():
     # full-size bench: the report shape is the contract; the Gaussian vs
     # postselected comparison is reported, not asserted, because the
     # published working points assume code designs that are not public
-    n = 1 << 20
+    n = 1 << 18
     code_big = peg_construct(n, n - round(0.1 * n), PEG_PROFILE,
                              seed=20260819)
     blocks = 10

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,19 @@ from psqkd.reconciliation import peg_construct, save_alist
 
 # inflated three-sigma band shared with the estimator tests
 BAND = 3.0 * 1.2
+
+
+def test_import_path_loads_no_scipy():
+    # SciPy serves only the bench's LLR quadrature (mu_of_snr imports it
+    # itself), so a fresh interpreter importing the package and its CLI
+    # must not load any scipy module
+    code = ("import sys, psqkd, psqkd.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def run_to_file(tmp_path, argv, name="out.txt"):
