@@ -22,9 +22,6 @@ import numpy as np
 
 from ..errors import DomainError
 
-# a variable with this many checks excludes only its own checks
-_REACH_CAP = 4096
-
 
 @dataclass(frozen=True)
 class LdpcCode:
@@ -153,9 +150,9 @@ def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
     sharing one with it.  That excludes 4-cycles and nothing longer.  When
     the neighbourhood covers every check, the edge falls back to the
     minimum among the checks first reached at distance 2 (the variable's
-    own checks if there are none).  Once a variable has _REACH_CAP checks
-    only those are excluded.  Candidates come from a lazy-deletion heap.
-    Deterministic for a given seed (ties broken by pre-drawn random keys).
+    own checks if there are none).  Candidates come from a lazy-deletion
+    heap.  Deterministic for a given seed (ties broken by pre-drawn random
+    keys).
     """
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got n={n} m={m}")
@@ -192,12 +189,11 @@ def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
             own = var_mv[start[v]:end[v]].tolist()
             # variables sharing a check with v, v included: a check is
             # within distance 2 of v exactly when one of its variables is
-            # here; past the cap adj stays empty and only own checks count
+            # here
             adj = set()
-            if len(own) < _REACH_CAP:
-                for c in own:
-                    row = c * width
-                    adj.update(chk_mv[row:row + chk_deg[c]])
+            for c in own:
+                row = c * width
+                adj.update(chk_mv[row:row + chk_deg[c]])
             chosen = -1
             stash = []
             while heap:

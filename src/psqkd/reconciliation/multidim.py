@@ -9,13 +9,13 @@ sphere point with a spread set only by the correlation of the data.
 The per-dimension channel model is computed exactly rather than assumed.
 Writing Alice's normalized block as cos(theta) times Bob's direction plus
 an isotropic remainder, each rotated coordinate v_i obeys
-E[v_i | u_i] = mu u_i and Var[v_i] = (1 - mu^2)/8 with mu = E[cos theta],
-and cos(theta) = s / sqrt(s^2 + (1 - rho^2) q) for s = rho r +
-sqrt(1 - rho^2) g, where r is chi with 8 degrees of freedom, g standard
-normal, q chi-square with 7, and rho^2 = snr/(1 + snr).  mu is evaluated
-by Gauss-Laguerre/Hermite quadrature over (r, g, q).  LLRs then follow
-from the Gaussian approximation of v_i, whose first two moments the model
-gets exactly (the calibration test gates this).
+E[v_i | u_i] = mu u_i and Var[v_i] = (1 - mu^2)/8 with mu = E[cos theta].
+For correlated unit-variance Gaussian vectors in d dimensions
+mu = (2/d) (Gamma((d+1)/2)/Gamma(d/2))^2 rho 2F1(1/2, 1/2; d/2+1; rho^2)
+with rho^2 = snr/(1 + snr) (Leverrier et al., PRA 77, 042325 (2008)); at
+d = 1 this is the sign-correlation law (2/pi) arcsin(rho).  LLRs then
+follow from the Gaussian approximation of v_i, whose first two moments the
+model gets exactly (the calibration test gates this).
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .rotation import apply_rotation, rotation_coefficients
 
 _NORM_FLOOR = 1e-12
 _ROOT8 = math.sqrt(8.0)
+# small-snr slope mu/rho = (2/8) (Gamma(9/2)/Gamma(4))^2
+_MU_SLOPE = 0.25 * (math.gamma(4.5) / math.gamma(4.0)) ** 2
 
 
 def bits_to_sphere(bits) -> np.ndarray:
@@ -66,31 +68,22 @@ def encode_side_info(y_blocks, bits):
     return rotation_coefficients(y_unit, u), u
 
 
-def mu_of_snr(snr: float, n_radial: int = 32, n_normal: int = 40,
-              n_residual: int = 32) -> float:
+def mu_of_snr(snr: float) -> float:
     """Mean alignment mu = E[cos theta] between rotated blocks at a given snr.
 
-    Triple Gaussian quadrature: the reference norm r (chi_8) through
-    generalized Laguerre weight alpha=3 in r^2/2, the aligned noise g
-    through Hermite, the orthogonal noise power q (chi-square_7) through
-    Laguerre alpha=2.5 in q/2.
+    Closed form for d = 8: mu = rho (Gamma(9/2)/Gamma(4))^2/4 times
+    2F1(1/2, 1/2; 5; rho^2), the series summed until a term no longer
+    changes the total.
     """
-    from scipy import special  # the only SciPy use; kept off the import path
-    if snr <= 0.0:
-        raise DomainError(f"snr must be > 0, got {snr}")
-    rho2 = snr / (1.0 + snr)
-    rho = math.sqrt(rho2)
-    xr, wr = special.roots_genlaguerre(n_radial, 3.0)
-    xg, wg = special.roots_hermite(n_normal)
-    xq, wq = special.roots_genlaguerre(n_residual, 2.5)
-    r = np.sqrt(2.0 * xr)
-    g = math.sqrt(2.0) * xg
-    q = 2.0 * xq
-    s = rho * r[:, None, None] + math.sqrt(1.0 - rho2) * g[None, :, None]
-    cos = s / np.sqrt(s * s + (1.0 - rho2) * q[None, None, :])
-    w = (wr[:, None, None] * wg[None, :, None] * wq[None, None, :])
-    norm = math.gamma(4.0) * math.sqrt(math.pi) * math.gamma(3.5)
-    return float(np.sum(w * cos) / norm)
+    if not 0.0 < snr < math.inf:
+        raise DomainError(f"snr must be > 0 and finite, got {snr}")
+    z = snr / (1.0 + snr)
+    total, term, n = 0.0, 1.0, 0
+    while total + term != total:
+        total += term
+        term *= (n + 0.5) ** 2 / ((n + 5.0) * (n + 1.0)) * z
+        n += 1
+    return _MU_SLOPE * math.sqrt(z) * total
 
 
 def llr_scale(mu: float) -> float:

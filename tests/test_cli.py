@@ -21,17 +21,20 @@ from psqkd.reconciliation import peg_construct, save_alist
 BAND = 3.0 * 1.2
 
 
-def test_import_path_loads_no_scipy():
-    # SciPy serves only the bench's LLR quadrature (mu_of_snr imports it
-    # itself), so a fresh interpreter importing the package and its CLI
+def test_import_path_loads_no_scipy(tmp_path):
+    # the package is NumPy-only: a fresh interpreter that imports it and its
+    # CLI, then runs a small bench (rotation, LLR model, PEG, decoding),
     # must not load any scipy module
     code = ("import sys, psqkd, psqkd.cli; "
+            "assert psqkd.cli.main(['bench', '--code-n', '512', '--blocks', '1', "
+            f"'--seed', '7', '--out', {str(tmp_path / 'bench.txt')!r}]) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+    assert "Gaussian" in (tmp_path / "bench.txt").read_text()
 
 
 def run_to_file(tmp_path, argv, name="out.txt"):

@@ -1,0 +1,26 @@
+"""The package imports only the standard library, NumPy and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "psqkd"
+
+
+def imported_modules(path):
+    """Top-level names of every absolute import in a file, function-local
+    ones included; package-relative imports are skipped."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    files = sorted(PACKAGE.rglob("*.py"))
+    assert files
+    foreign = {f"{path.relative_to(PACKAGE)}: {name}"
+               for path in files for name in imported_modules(path)
+               if name != "numpy" and name not in sys.stdlib_module_names}
+    assert not foreign, sorted(foreign)
