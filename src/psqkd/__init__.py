@@ -57,7 +57,6 @@ from .montecarlo import (
     MomentEstimate,
     RescaleSpec,
     collect_accepted_pairs,
-    estimate_moments,
     export_records,
     load_records,
     rescale_and_filter,
@@ -107,7 +106,6 @@ __all__ = [
     "conditioned_moments",
     "covariance_subtracted",
     "entropy_term",
-    "estimate_moments",
     "export_records",
     "filter_q",
     "key_rate_homodyne",

@@ -13,6 +13,8 @@ postselection for another, without new quantum data.
 Sampling is chunked; each chunk owns an independent child stream of the run
 seed and chunk sums are reduced with compensated summation, so results are
 bitwise reproducible regardless of how chunks are scheduled.
+collect_accepted_pairs draws accepted pairs from their closed-form law
+instead, so they are not a prefix of run_experiment's accepted stream.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .gaussian import ChannelSpec, TwoModeCovariance
-from .subtraction import SourceSpec, covariance_subtracted, filter_q
+from .subtraction import SCHEME_ON_OFF, SourceSpec, _filter_coefficient, filter_q
 
 _CHUNK = 1 << 20
 # Rows formatted per write by export_records.
@@ -173,6 +175,12 @@ def _estimate(sums: list[tuple[float, ...]], n_samples: int) -> MomentEstimate:
     )
 
 
+def _receiver(src: SourceSpec, ch: ChannelSpec) -> tuple[float, float]:
+    """(m, sd): the receiver's x_b = m x_a + N(0, sd^2), its exact conditional law."""
+    return (math.sqrt(2.0 * src.t * ch.t_c) * src.lam,
+            math.sqrt(1.0 + ch.t_c * ch.epsilon))
+
+
 def _rounds(src: SourceSpec, ch: ChannelSpec, sizes, seed: int):
     """Yield (x_a, p_a, x_b, accepted) for each chunk size in turn.
 
@@ -182,8 +190,7 @@ def _rounds(src: SourceSpec, ch: ChannelSpec, sizes, seed: int):
     each chunk before asking for the next, which keeps one chunk alive.
     """
     het_sd = math.sqrt((src.v + 1.0) / 2.0)
-    mean_coef = math.sqrt(2.0 * src.t * ch.t_c) * src.lam
-    noise_sd = math.sqrt(1.0 + ch.t_c * ch.epsilon)
+    mean_coef, noise_sd = _receiver(src, ch)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     for child, size in zip(children, sizes):
         rng = np.random.default_rng(child)
@@ -229,35 +236,27 @@ def run_experiment(src: SourceSpec, ch: ChannelSpec, n_samples: int, seed: int,
 
 def collect_accepted_pairs(src: SourceSpec, ch: ChannelSpec, n_pairs: int,
                            seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stream protocol rounds, keeping only accepted (x_a, x_b) pairs.
+    """Draw n_pairs accepted (x_a, x_b) pairs from their exact law, in O(n_pairs).
 
-    Memory-bounded companion to run_experiment for large correlated
-    datasets: chunks draw from the same per-index child streams, accepted
-    pairs accumulate until n_pairs are collected, everything else is
-    dropped.  Raises EstimationError if four times the expected number of
-    rounds fails to produce enough acceptances.
+    The prior of s = x_a^2 + p_a^2 is Exp(rate a = 1/(v+1)) and filter_q
+    sees u = c s, so the accepted s is Gamma(k+1, rate a + c) for k clicks
+    (scheme "none": k = c = 0) and Exp(a) + Exp(a + c) for on-off; a dark
+    tap (c = 0) draws the limiting law, as subtraction.v_tilde does.  The
+    phase is uniform and x_b follows x_a as in run_experiment, whose
+    accepted subset has this law but not this stream.
     """
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be >= 1, got {n_pairs}")
-    p = covariance_subtracted(src).success_prob
-    if p <= 0.0 or n_pairs / p > 4096.0 * _CHUNK:
-        raise EstimationError(
-            f"collecting {n_pairs} pairs needs roughly {n_pairs / max(p, 1e-300):.3g} "
-            "rounds at this acceptance probability; beyond the sampling budget")
-    max_chunks = min(int(math.ceil(4.0 * n_pairs / (p * _CHUNK))) + 8, 4096)
-    xs, ys = [], []
-    total = 0
-    for x, _, y, acc in _rounds(src, ch, [_CHUNK] * max_chunks, seed):
-        xs.append(x[acc])
-        ys.append(y[acc])
-        total += xs[-1].size
-        del x, _, y, acc
-        if total >= n_pairs:
-            break
-    if total < n_pairs:
-        raise EstimationError(f"collected {total} accepted pairs of {n_pairs} "
-                              f"requested after {max_chunks} chunks")
-    return np.concatenate(xs)[:n_pairs], np.concatenate(ys)[:n_pairs]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    a = 1.0 / (src.v + 1.0)
+    b = a + _filter_coefficient(src)
+    if src.scheme == SCHEME_ON_OFF:
+        s = rng.exponential(1.0 / a, n_pairs) + rng.exponential(1.0 / b, n_pairs)
+    else:
+        s = rng.gamma(src.k + 1.0, 1.0 / b, n_pairs)
+    x = np.sqrt(s) * np.cos(rng.uniform(0.0, 2.0 * math.pi, n_pairs))
+    mean_coef, noise_sd = _receiver(src, ch)
+    return x, mean_coef * x + rng.normal(0.0, noise_sd, n_pairs)
 
 
 def rescale_and_filter(records: ExperimentRecords, spec: RescaleSpec, k: int,
@@ -278,12 +277,6 @@ def rescale_and_filter(records: ExperimentRecords, spec: RescaleSpec, k: int,
     acc = u < filter_q(x, p, src)
     out = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=records.x_b)
     return out, _estimate([_chunk_sums(x, p, records.x_b, acc)], len(records))
-
-
-def estimate_moments(records: ExperimentRecords) -> MomentEstimate:
-    """Accepted-subset estimators for an existing record set."""
-    return _estimate([_chunk_sums(records.x_a, records.p_a, records.x_b,
-                                  records.accepted)], len(records))
 
 
 def export_records(records: ExperimentRecords, path: str) -> None:

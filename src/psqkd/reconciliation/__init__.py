@@ -11,7 +11,6 @@ from .bench import (
 from .bp import decode_syndrome
 from .ldpc import LdpcCode, load_alist, peg_construct, save_alist
 from .multidim import (
-    bits_to_sphere,
     decode,
     encode_side_info,
     llr_scale,
@@ -32,7 +31,6 @@ __all__ = [
     "accepted_pairs",
     "apply_rotation",
     "bench",
-    "bits_to_sphere",
     "decode",
     "decode_syndrome",
     "encode_side_info",

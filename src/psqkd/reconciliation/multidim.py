@@ -35,7 +35,7 @@ _ROOT8 = math.sqrt(8.0)
 _MU_SLOPE = 0.25 * (math.gamma(4.5) / math.gamma(4.0)) ** 2
 
 
-def bits_to_sphere(bits) -> np.ndarray:
+def _bits_to_sphere(bits) -> np.ndarray:
     """Map bits to sphere coordinates u_i = (1 - 2 b_i)/sqrt(8), (nb, 8)."""
     bits = np.asarray(bits)
     if bits.ndim != 1 or bits.size % 8:
@@ -61,7 +61,7 @@ def encode_side_info(y_blocks, bits):
     with both shaped (nb, 8).  The syndrome of the bits travels separately
     (an LdpcCode computes it).
     """
-    u = bits_to_sphere(bits)
+    u = _bits_to_sphere(bits)
     y_unit = _unit_blocks(y_blocks, "reference")
     if u.shape != y_unit.shape:
         raise DomainError(f"bit blocks {u.shape} do not match data blocks {y_unit.shape}")

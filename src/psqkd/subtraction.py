@@ -46,8 +46,9 @@ K_MAX = 64
 class SourceSpec:
     """Source configuration: squeezing, tap transmittance, conditioning scheme.
 
-    scheme "none" disables the tap entirely (t is forced to 1), "k_photon"
-    conditions on exactly ``k`` clicks, "on_off" on at least one click.
+    scheme "none" disables the tap entirely (t is forced to 1, k to 0),
+    "k_photon" conditions on exactly ``k`` clicks, "on_off" on at least one
+    click.
     eta_d is the counter efficiency; the detected fraction of tap photons.
     t may be an array of tap transmittances (a list is converted to one);
     v, k and eta_d are scalars.
@@ -66,6 +67,7 @@ class SourceSpec:
             raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.scheme == SCHEME_NONE:
             object.__setattr__(self, "t", 1.0)
+            object.__setattr__(self, "k", 0)
         elif isinstance(self.t, (list, tuple)):
             object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         t = self.t
@@ -219,6 +221,11 @@ def covariance_subtracted(src: SourceSpec) -> SubtractionReport:
     return SubtractionReport(prob, vt, _cov_from_v_tilde(src.lam, src.t, vt))
 
 
+def _filter_coefficient(src: SourceSpec):
+    """c in the filter's detected mean photon number u = c (x_a^2 + p_a^2)."""
+    return src.eta_d * (1.0 - src.t) * src.lambda2 / 2.0
+
+
 def filter_q(x_a, p_a, src: SourceSpec):
     """Acceptance probability of Alice's heterodyne outcome (x_a, p_a).
 
@@ -237,7 +244,7 @@ def filter_q(x_a, p_a, src: SourceSpec):
     if src.scheme == SCHEME_NONE:
         shape = np.broadcast_shapes(x_a.shape, p_a.shape)
         return np.ones(shape) if shape else 1.0
-    u = src.eta_d * (1.0 - src.t) * src.lambda2 * (x_a * x_a + p_a * p_a) / 2.0
+    u = _filter_coefficient(src) * (x_a * x_a + p_a * p_a)
     if src.scheme == SCHEME_ON_OFF:
         q = -np.expm1(-u)
     else:

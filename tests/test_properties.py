@@ -10,7 +10,10 @@ Over random (v, t, k, eta_d, distance, epsilon):
   no code with them.
 
 - the array noise search over a vector of distances equals, bit for bit,
-  a verbatim copy of the scalar search it replaced, called per distance.
+  a verbatim copy of the scalar search it replaced, called per distance;
+- pairs drawn exactly from the accepted law have the second moments the
+  closed forms give: <x_a^2> = <vt>, <x_a x_b> = m <vt> and
+  <x_b^2> = m^2 <vt> + 1 + t_c epsilon, with m = sqrt(2 t t_c) lam.
 
 Regression tests check that a single out-of-range or non-physical element
 of a batch still raises: vectorisation drops no check.
@@ -36,6 +39,7 @@ from psqkd.gaussian import (
     key_rate_homodyne,
     symplectic_eigenvalues,
 )
+from psqkd.montecarlo import collect_accepted_pairs
 from psqkd.subtraction import (
     SourceSpec,
     covariance_subtracted,
@@ -179,6 +183,21 @@ def test_closed_forms_match_number_basis_oracle(v, t, k, eta):
     vt = v_tilde(src)
     assert abs(vt - (oracle_cov.v1 + 1.0) / 2.0) < 1e-8 * vt
     assert covariance_subtracted(src).v_tilde == vt
+
+
+@CHAIN
+@given(src=sources(), t=st.floats(0.01, 1.0, **finite), t_c=st.floats(0.01, 1.0, **finite),
+       epsilon=st.floats(0.0, 0.1, **finite), seed=st.integers(0, 2**32 - 1))
+def test_exact_pairs_match_closed_form_moments(src, t, t_c, epsilon, seed):
+    src = replace(src, t=t)
+    ch = ChannelSpec(t_c=t_c, epsilon=epsilon)
+    x, y = collect_accepted_pairs(src, ch, 20_000, seed)
+    vt = v_tilde(src)
+    m = math.sqrt(2.0 * src.t * t_c) * src.lam
+    for sample, target in ((x * x, vt), (x * y, m * vt),
+                           (y * y, m * m * vt + 1.0 + t_c * epsilon)):
+        se = sample.std() / math.sqrt(sample.size)
+        assert abs(sample.mean() - target) <= 5.0 * se
 
 
 @ORACLE

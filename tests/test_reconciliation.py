@@ -17,7 +17,6 @@ from psqkd.reconciliation import (
     accepted_pairs,
     apply_rotation,
     bench,
-    bits_to_sphere,
     decode,
     decode_syndrome,
     encode_side_info,
@@ -144,15 +143,17 @@ class TestRotationMap:
 
 class TestSphereMapping:
     def test_unit_norm_blocks(self):
+        # u_i = (1 - 2 b_i)/sqrt(8), eight bits per block
         rng = np.random.default_rng(5)
-        u = bits_to_sphere(rng.integers(0, 2, 800))
+        bits = rng.integers(0, 2, 800)
+        _, u = encode_side_info(rng.standard_normal((100, 8)), bits)
         assert u.shape == (100, 8)
         assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() < 1e-12
-        assert np.allclose(np.unique(np.abs(u)), 1.0 / math.sqrt(8))
+        assert np.array_equal(u.ravel(), (1.0 - 2.0 * bits) / math.sqrt(8))
 
     def test_bit_count_validation(self):
         with pytest.raises(DomainError):
-            bits_to_sphere(np.zeros(12, dtype=int))
+            encode_side_info(np.ones((2, 8)), np.zeros(12, dtype=int))
 
     def test_loopback_alignment(self):
         # zero noise: Alice's rotated block equals u, every sign correct

@@ -268,3 +268,9 @@ class TestValidation:
     def test_none_forces_full_transmittance(self):
         src = SourceSpec(v=20.0, t=0.3, scheme="none")
         assert src.t == 1.0
+
+    def test_none_ignores_click_count(self):
+        # no tap, no count: every closed form sees the raw heterodyne variance
+        src = SourceSpec(v=20.0, scheme="none", k=2)
+        assert src.k == 0
+        assert v_tilde(src) == covariance_subtracted(src).v_tilde == 10.5
