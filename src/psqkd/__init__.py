@@ -46,8 +46,6 @@ from .gaussian import (
     KeyRateReport,
     TwoModeCovariance,
     apply_channel,
-    check_physicality,
-    entropy_term,
     key_rate_homodyne,
     symplectic_eigenvalues,
 )
@@ -100,12 +98,10 @@ __all__ = [
     "apply_detector_loss",
     "beta_from_rate_snr",
     "build_split_tmsv",
-    "check_physicality",
     "collect_accepted_pairs",
     "condition_on_count",
     "conditioned_moments",
     "covariance_subtracted",
-    "entropy_term",
     "export_records",
     "filter_q",
     "key_rate_homodyne",

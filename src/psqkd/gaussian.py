@@ -53,8 +53,8 @@ class TwoModeCovariance:
     """Standard-form two-mode covariance matrix, stored as its three parameters.
 
     The dataclass performs no validation: unphysical parameter triples are
-    representable on purpose so that :func:`check_physicality` can be a total
-    function.  Operations that require physicality check it themselves.  The
+    representable on purpose.  Operations that require physicality check it
+    themselves and raise InvalidStateError naming the first failing state.  The
     parameters may be arrays of broadcastable shapes, a batch of states;
     matrix() and as_tuple() are for single states.
     """
@@ -183,17 +183,6 @@ def _physicality(cov: TwoModeCovariance):
     return good, real, lo, delta
 
 
-def check_physicality(cov: TwoModeCovariance):
-    """True iff ``cov`` describes a physical state (a bool array for a batch).
-
-    The test is v1, v2 and the smaller symplectic eigenvalue all
-    >= 1 - 1e-9.  Total function: never raises.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        good = _physicality(cov)[0]
-    return _plain(good)
-
-
 def symplectic_eigenvalues(cov: TwoModeCovariance):
     """Symplectic spectrum (lam1 >= lam2) of a physical standard-form state.
 
@@ -228,22 +217,13 @@ def _xlogy(x, y):
 
 
 def _entropy(x):
+    """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0, of
+    the mean photon number x = (lam - 1)/2 of a symplectic eigenvalue lam."""
     # NumPy's SIMD log (not libm's) runs one loop for scalars and arrays, so a
     # batch gives its elements' bits.  x + (x == 0) takes log 1 at x = 0 (pure
     # states) with no warning: np.errstate costs more than g on small arrays.
     xp1 = x + 1.0
     return (xp1 * np.log(xp1) - x * np.log(x + (x == 0.0))) / LN2
-
-
-def entropy_term(x):
-    """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0.
-
-    ``x`` is the mean thermal photon number (lam - 1)/2 of a symplectic
-    eigenvalue lam.
-    """
-    if np.any(x < 0.0):
-        raise DomainError(f"entropy_term needs x >= 0, got {_first(x < 0.0, x)[0]}")
-    return _entropy(x)
 
 
 def apply_channel(cov: TwoModeCovariance, ch: ChannelSpec) -> TwoModeCovariance:

@@ -1,13 +1,19 @@
 """Sparse parity-check codes: progressive-edge-growth construction and
 alist interchange.
 
-The decoder wants edge-centric arrays, so LdpcCode stores the bipartite
-graph as parallel edge lists sorted by check.  Construction follows
-progressive-edge-growth reduced to what scales: each new edge avoids the
-variable's distance-2 neighbourhood, so the graph has no 4-cycles but no
-longer cycles are kept out, and the minimum-degree check is found through a
-lazy-deletion heap of packed (degree, tiebreak, index) integers rather
-than a rescan.
+LdpcCode stores the bipartite graph as parallel edge lists sorted by check
+(the canonical edge order).  For message passing it also lays the edges
+out in slot order (SlotLayout): checks ranked by descending degree, with
+column j holding the j-th edge of every check that has one, so a per-check
+fold is one ufunc call per column over contiguous slices; variables get
+the same layout, and two index maps lead from one side's slots to the
+other's.
+
+Construction follows progressive-edge-growth reduced to what scales: each
+new edge avoids the variable's distance-2 neighbourhood, so the graph has
+no 4-cycles but no longer cycles are kept out, and the minimum-degree check
+is found through a lazy-deletion heap of packed (degree, tiebreak, index)
+integers rather than a rescan.
 """
 
 from __future__ import annotations
@@ -54,26 +60,22 @@ class LdpcCode:
         return np.diff(self.check_ptr)
 
     @functools.cached_property
-    def _check_columns(self):
-        """Checks by descending degree, and for each j the j-th edges of
-        the checks that have one: every such column is a prefix of them."""
-        deg = self.check_degrees
-        order = np.argsort(-deg, kind="stable")
-        first = self.check_ptr[:-1][order]
-        return order, [first[:np.count_nonzero(deg > j)] + j
-                       for j in range(int(deg.max()))]
+    def slots(self) -> "SlotLayout":
+        """The edges in slot order, built on first use."""
+        return SlotLayout.of(self)
 
     def check_fold(self, ufunc, values) -> np.ndarray:
         """ufunc folded over each check's edge values, left to right in edge
-        order: ufunc.reduceat(values, check_ptr[:-1]) in one pass per column
-        rather than one call per check."""
-        order, columns = self._check_columns
-        acc = values[columns[0]]
-        for col in columns[1:]:
-            head = acc[:col.size]
-            ufunc(head, values[col], out=head)
+        order: ufunc.reduceat(values, check_ptr[:-1]) in one pass per slot
+        column rather than one call per check."""
+        lay = self.slots
+        first = self.check_ptr[:-1][lay.chk_order]
+        acc = values[first]
+        for j, col in enumerate(lay.chk_cols[1:], 1):
+            head = acc[:col.stop - col.start]
+            ufunc(head, values[first[:head.size] + j], out=head)
         out = np.empty_like(acc)
-        out[order] = acc
+        out[lay.chk_order] = acc
         return out
 
     def syndrome(self, bits) -> np.ndarray:
@@ -123,6 +125,75 @@ class LdpcCode:
             arr.flags.writeable = False
         return cls(n=n, m=m, edge_var=edge_var, edge_chk=edge_chk,
                    check_ptr=check_ptr)
+
+
+def fold_columns(ufunc, values, cols, dtype=None) -> np.ndarray:
+    """ufunc folded across the column slices of values, first column first.
+
+    Entry r of the result combines entry r of every column long enough to
+    have one; the first column is the longest, and the result has its
+    length and the given dtype (values' by default)."""
+    acc = values[cols[0]].astype(dtype or values.dtype)
+    for col in cols[1:]:
+        head = acc[:col.stop - col.start]
+        ufunc(head, values[col], out=head)
+    return acc
+
+
+def _columns(deg):
+    """Indices by descending degree (ties by index), and the slices of the
+    degree columns laid end to end: column j has one entry for each of the
+    first ranks whose degree exceeds j, so the columns never grow."""
+    order = np.argsort(-deg, kind="stable")
+    ends = np.cumsum(deg.size - np.cumsum(np.bincount(deg))[:-1]).tolist()
+    return order, tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
+
+
+@dataclass(frozen=True)
+class SlotLayout:
+    """The edges of a code laid out twice, as belief propagation reads them.
+
+    Check slots: checks by descending degree (chk_order gives the check of
+    each rank), and chk_cols[j] the slice of slots holding the j-th edge, in
+    canonical order, of every check whose degree exceeds j, in rank order.
+    Variable slots are laid out the same way over var_order, each variable's
+    edges in canonical (check) order.  sv gives the variable rank behind
+    each check slot, c2v the check slot behind each variable slot.
+    """
+
+    chk_order: np.ndarray
+    chk_cols: tuple
+    var_order: np.ndarray
+    var_cols: tuple
+    sv: np.ndarray
+    c2v: np.ndarray
+
+    @classmethod
+    def of(cls, code: LdpcCode) -> "SlotLayout":
+        chk_order, chk_cols = _columns(code.check_degrees)
+        var_degrees = code.var_degrees
+        var_order, var_cols = _columns(var_degrees)
+        var_rank = np.empty(code.n, dtype=np.intp)
+        var_rank[var_order] = np.arange(code.n)
+        # the check slot of every canonical edge, and sv, one column at a time
+        slot = np.empty(code.n_edges, dtype=np.intp)
+        sv = np.empty(code.n_edges, dtype=np.intp)
+        first = code.check_ptr[:-1][chk_order]
+        for j, col in enumerate(chk_cols):
+            edges = first[:col.stop - col.start] + j
+            slot[edges] = np.arange(col.start, col.stop)
+            sv[col] = var_rank[code.edge_var[edges]]
+        # the canonical order is check-major, so a stable sort by variable
+        # keeps each variable's edges in check order; then their check slots
+        by_var = slot[np.argsort(code.edge_var, kind="stable")]
+        del slot  # before c2v, to keep the peak of the build low
+        first = (np.cumsum(var_degrees) - var_degrees)[var_order]
+        c2v = np.empty(code.n_edges, dtype=np.intp)
+        for j, col in enumerate(var_cols):
+            c2v[col] = by_var[first[:col.stop - col.start] + j]
+        for arr in (chk_order, var_order, sv, c2v):
+            arr.flags.writeable = False
+        return cls(chk_order, chk_cols, var_order, var_cols, sv, c2v)
 
 
 def _degree_sequence(n: int, profile: dict) -> np.ndarray:

@@ -14,8 +14,6 @@ from psqkd.gaussian import (
     ChannelSpec,
     TwoModeCovariance,
     apply_channel,
-    check_physicality,
-    entropy_term,
     key_rate_homodyne,
     symplectic_eigenvalues,
 )
@@ -78,32 +76,53 @@ class TestSymplectic:
             symplectic_eigenvalues(TwoModeCovariance(20, 20, 25))
 
 
+def assert_physical(cov):
+    """Both users of the physicality test accept the state."""
+    symplectic_eigenvalues(cov)
+    apply_channel(cov, ChannelSpec(t_c=0.5, epsilon=0.01))
+
+
+def assert_unphysical(cov):
+    with pytest.raises(InvalidStateError):
+        symplectic_eigenvalues(cov)
+    with pytest.raises(InvalidStateError):
+        apply_channel(cov, ChannelSpec(t_c=0.5, epsilon=0.01))
+
+
 class TestPhysicality:
     def test_examples(self):
-        assert check_physicality(TwoModeCovariance(1, 1, 0))
-        assert check_physicality(TwoModeCovariance(20, 20, math.sqrt(399)))
-        assert not check_physicality(TwoModeCovariance(20, 20, 25))
-        assert not check_physicality(TwoModeCovariance(0.5, 1, 0))
+        assert_physical(TwoModeCovariance(1, 1, 0))
+        assert_physical(TwoModeCovariance(20, 20, math.sqrt(399)))
+        assert_unphysical(TwoModeCovariance(20, 20, 25))
+        assert_unphysical(TwoModeCovariance(0.5, 1, 0))
 
     def test_total_on_weird_inputs(self):
-        assert not check_physicality(TwoModeCovariance(-3.0, 2.0, 50.0))
-        assert not check_physicality(TwoModeCovariance(1.0, 1.0, 1e6))
+        # a clean verdict, InvalidStateError, and no other exception
+        assert_unphysical(TwoModeCovariance(-3.0, 2.0, 50.0))
+        assert_unphysical(TwoModeCovariance(1.0, 1.0, 1e6))
+
+
+def holevo_of_vacuum_and_thermal(x):
+    """g(x) through the key rate: with the first mode in vacuum and no
+    correlation, the Holevo term is g(x) + g(0) - g(0) for a second mode of
+    variance 1 + 2x."""
+    return key_rate_homodyne(TwoModeCovariance(1.0, 1.0 + 2.0 * x, 0.0), 1.0).holevo
 
 
 class TestEntropyTerm:
     def test_anchors(self):
-        assert entropy_term(0.0) == 0.0
-        assert abs(entropy_term(1.0) - 2.0) < 1e-12
-        assert abs(entropy_term(0.5) - 1.37744) < 1e-5
+        assert holevo_of_vacuum_and_thermal(0.0) == 0.0
+        assert abs(holevo_of_vacuum_and_thermal(1.0) - 2.0) < 1e-12
+        assert abs(holevo_of_vacuum_and_thermal(0.5) - 1.37744) < 1e-5
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            entropy_term(-0.1)
+        # x < 0 is a sub-vacuum variance, which the state check rejects
+        with pytest.raises(InvalidStateError):
+            holevo_of_vacuum_and_thermal(-0.1)
 
     def test_monotone(self):
-        xs = np.linspace(0.0, 30.0, 200)
-        vals = [entropy_term(x) for x in xs]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
+        vals = holevo_of_vacuum_and_thermal(np.linspace(0.0, 30.0, 200))
+        assert np.all(np.diff(vals) > 0.0)
 
 
 class TestChannel:
@@ -146,7 +165,7 @@ class TestChannel:
         for _ in range(100):
             cov = random_physical(rng)
             ch = ChannelSpec(t_c=0.01 + 0.99 * rng.random(), epsilon=0.1 * rng.random())
-            assert check_physicality(apply_channel(cov, ch))
+            assert_physical(apply_channel(cov, ch))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psqkd.analysis import beta_from_rate_snr
@@ -744,3 +744,95 @@ def test_decoder_matches_reference_on_erasures(code512):
     assert iters == want_iters
     assert got is None and want is None
 
+
+
+@st.composite
+def small_graphs(draw):
+    """A code from per-variable check lists: variable degrees 2-6 and checks
+    with 1-5 edges.  Check c's first edge comes from variable c (m < n), so
+    none is empty.  Random check capacities of 1-5, raised until they hold
+    two edges per variable, take the other edges: first each variable's
+    second edge, at the checks with the most room, then random extras up to
+    a random degree."""
+    n = draw(st.integers(3, 24))
+    m = draw(st.integers(max(2, math.ceil(0.6 * n)), n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cap = rng.integers(1, 6, m)
+    while cap.sum() < 2 * n + 4:
+        cap[rng.choice(np.flatnonzero(cap < 5))] += 1
+    var_lists = [[v] if v < m else [] for v in range(n)]
+    deg = np.ones(m, dtype=int)
+    for extra, target in ((False, np.full(n, 2)), (True, rng.integers(2, 7, n))):
+        for v in rng.permutation(n):
+            room = [c for c in np.flatnonzero(deg < cap) if c not in var_lists[v]]
+            room = rng.permutation(room) if extra else \
+                sorted(room, key=lambda c: (deg[c] - cap[c], rng.random()))
+            for c in room[:max(0, target[v] - len(var_lists[v]))]:
+                var_lists[v].append(int(c))
+                deg[c] += 1
+    assume(min(len(chks) for chks in var_lists) >= 2)
+    return LdpcCode.from_adjacency(n, m, var_lists)
+
+
+SPECIAL_LLRS = [0.0, -0.0, 1e6, -1e6]
+llr_values = st.one_of(st.sampled_from(SPECIAL_LLRS), st.floats(-12.0, 12.0, width=32))
+
+
+def slot_edges(code):
+    """The canonical edge behind every check slot and every variable slot,
+    recomputed from the layout's definition."""
+    lay = code.slots
+    by_var = np.argsort(code.edge_var, kind="stable")
+    var_ptr = np.concatenate(([0], np.cumsum(code.var_degrees)))
+    chk, var = [], []
+    for j, col in enumerate(lay.chk_cols):
+        chk.append(code.check_ptr[lay.chk_order[:col.stop - col.start]] + j)
+    for j, col in enumerate(lay.var_cols):
+        var.append(by_var[var_ptr[lay.var_order[:col.stop - col.start]] + j])
+    return np.concatenate(chk), np.concatenate(var)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(code=small_graphs(), data=st.data())
+def test_slot_layout_and_decoder_on_small_graphs(code, data):
+    lay = code.slots
+    vdeg, cdeg = code.var_degrees, code.check_degrees
+    assert 2 <= vdeg.min() and vdeg.max() <= 6 and 1 <= cdeg.min() and cdeg.max() <= 5
+    for cols, count in ((lay.chk_cols, code.m), (lay.var_cols, code.n)):
+        sizes = [col.stop - col.start for col in cols]
+        assert cols[0].start == 0 and sizes[0] == count
+        assert all(a.stop == b.start for a, b in zip(cols, cols[1:]))
+        assert cols[-1].stop == code.n_edges
+        assert sizes == sorted(sizes, reverse=True)
+    chk_edge, var_edge = slot_edges(code)
+    everything = np.arange(code.n_edges)
+    assert np.array_equal(np.sort(chk_edge), everything)
+    assert np.array_equal(np.sort(var_edge), everything)
+    assert np.array_equal(lay.var_order[lay.sv], code.edge_var[chk_edge])
+    assert np.array_equal(chk_edge[lay.c2v], var_edge)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    starts = code.check_ptr[:-1]
+    t = rng.uniform(-1.0, 1.0, code.n_edges).astype(np.float32)
+    t[rng.random(code.n_edges) < 0.2] = -0.0
+    b = rng.integers(0, 256, code.n_edges).astype(np.uint8)
+    assert np.array_equal(code.check_fold(np.multiply, t).view(np.uint32),
+                          np.multiply.reduceat(t, starts).view(np.uint32))
+    assert np.array_equal(code.check_fold(np.bitwise_xor, b),
+                          np.bitwise_xor.reduceat(b, starts))
+    bits = rng.integers(0, 2, code.n).astype(np.uint8)
+    assert np.array_equal(code.syndrome(bits), reference_syndrome(code, bits))
+
+    llr = np.array(data.draw(st.lists(llr_values, min_size=code.n, max_size=code.n),
+                             label="llr"), dtype=np.float32)
+    if data.draw(st.booleans(), label="zero syndrome"):
+        syn = np.zeros(code.m, dtype=np.uint8)
+    else:
+        syn = rng.integers(0, 2, code.m).astype(np.uint8)
+    max_iter = data.draw(st.integers(1, 30), label="max_iter")
+    got, iters = decode_syndrome(code, llr, syn, max_iter=max_iter)
+    want, want_iters = reference_decode_syndrome(code, llr, syn, max_iter=max_iter)
+    assert iters == want_iters
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
