@@ -516,22 +516,25 @@ def _cmd_bench(args) -> int:
     need = args.blocks * code.n
     arms = []
     if args.data in ("gaussian", "both"):
-        x, y = gaussian_pairs(args.snr, need, seed + 1)
-        arms.append(("Gaussian", x, y, args.snr))
+        arms.append(("Gaussian", args.snr,
+                     lambda: gaussian_pairs(args.snr, need, seed + 1)))
     if args.data in ("postselected", "both"):
         if args.records:
-            x, y = accepted_pairs(load_records(args.records))
-            arms.append((os.path.basename(args.records), x, y, None))
+            arms.append((os.path.basename(args.records), None,
+                         lambda: accepted_pairs(load_records(args.records))))
         else:
             src = SourceSpec.k_photon(args.v, args.t, args.k)
             ch = matched_channel(src, args.snr, args.eps)
-            x, y = collect_accepted_pairs(src, ch, need, seed + 2)
-            arms.append((non_gaussian_label(src), x, y, args.snr))
-    reports = [
-        bench(x, y, code, args.blocks, seed, data_type=label, snr=snr,
-              max_iter=args.max_iter)
-        for label, x, y, snr in arms
-    ]
+            arms.append((non_gaussian_label(src), args.snr,
+                         lambda: collect_accepted_pairs(src, ch, need, seed + 2)))
+    # each arm draws from its own seed, so one arm's pairs are drawn, benched
+    # and released before the next arm's are drawn
+    reports = []
+    for label, snr, draw in arms:
+        x, y = draw()
+        reports.append(bench(x, y, code, args.blocks, seed, data_type=label,
+                             snr=snr, max_iter=args.max_iter))
+        del x, y
     rows = [list(rep.row().values()) for rep in reports]
     params = _echo(args, ("snr", "blocks", "code_n", "code_rate", "alist",
                           "records", "data", "v", "t", "k", "eps", "max_iter"),

@@ -23,6 +23,7 @@ import gzip
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -31,8 +32,10 @@ from .gaussian import ChannelSpec, TwoModeCovariance
 from .subtraction import SCHEME_ON_OFF, SourceSpec, _filter_coefficient, filter_q
 
 _CHUNK = 1 << 20
-# Rows formatted per write by export_records.
-_IO_CHUNK = 1 << 16
+# Rows formatted per write by export_records.  A chunk's format string,
+# value tuple and text stay under ~0.5 MB: at 2^16 rows they left 6-12 MB
+# more of the heap resident after a 10^6-row export.
+_IO_CHUNK = 1 << 12
 _ROW_FORMAT = "%.17g %.17g %d %.17g\n"
 
 
@@ -133,10 +136,15 @@ class RescaleSpec:
 
 
 def _chunk_sums(x, p, y, acc) -> tuple[float, ...]:
-    """Accepted count and raw sums (xx, yy, xy, x, p) of one chunk."""
-    xs, ps, ys = x[acc], p[acc], y[acc]
-    return (float(np.count_nonzero(acc)), float(xs @ xs), float(ys @ ys),
-            float(xs @ ys), float(xs.sum()), float(ps.sum()))
+    """Accepted count and raw sums (xx, yy, xy, x, p) of one chunk.
+
+    The products are summed by einsum, not by a BLAS dot, whose threaded
+    summation order can change the last bits with the thread count."""
+    idx = np.flatnonzero(acc)
+    xs, ps, ys = x.take(idx), p.take(idx), y.take(idx)
+    return (float(idx.size), float(np.einsum("i,i->", xs, xs)),
+            float(np.einsum("i,i->", ys, ys)), float(np.einsum("i,i->", xs, ys)),
+            float(xs.sum()), float(ps.sum()))
 
 
 def _estimate(sums: list[tuple[float, ...]], n_samples: int) -> MomentEstimate:
@@ -299,9 +307,11 @@ def export_records(records: ExperimentRecords, path: str) -> None:
         fh.write("# columns=x_a p_a accepted x_b\n")
         fh.write(f"# n_samples={n}\n")
         for lo in range(0, n, _IO_CHUNK):
-            cols = (col[lo:lo + _IO_CHUNK].tolist() for col in
-                    (records.x_a, records.p_a, records.accepted, records.x_b))
-            fh.write("".join(map(_ROW_FORMAT.__mod__, zip(*cols))))
+            cols = [col[lo:lo + _IO_CHUNK].tolist() for col in
+                    (records.x_a, records.p_a, records.accepted, records.x_b)]
+            # one % over the whole chunk, row-major values
+            fh.write(_ROW_FORMAT * len(cols[0])
+                     % tuple(chain.from_iterable(zip(*cols))))
 
 
 def load_records(path: str) -> ExperimentRecords:

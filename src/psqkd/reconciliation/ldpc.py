@@ -11,9 +11,11 @@ other's.
 
 Construction follows progressive-edge-growth reduced to what scales: each
 new edge avoids the variable's distance-2 neighbourhood, so the graph has
-no 4-cycles but no longer cycles are kept out, and the minimum-degree check
-is found through a lazy-deletion heap of packed (degree, tiebreak, index)
-integers rather than a rescan.
+no 4-cycles but no longer cycles are kept out.  The minimum-degree check is
+found through a lazy-deletion heap of packed (degree, tiebreak, index)
+integers rather than a rescan.  Check rows live in one flat list of Python
+ints, and each variable's neighbourhood is a set grown by one row per
+placed edge, so an edge costs a few slices and set operations.
 """
 
 from __future__ import annotations
@@ -111,9 +113,12 @@ class LdpcCode:
         if edge_chk.min() < 0 or edge_chk.max() >= m:
             raise DomainError("check index out of range")
         pairs = edge_chk.astype(np.int64) * n + edge_var
-        if np.unique(pairs).size != pairs.size:
-            raise DomainError("duplicate edge in adjacency")
         order = np.argsort(pairs, kind="stable")
+        pairs = pairs[order]
+        # a repeated edge sorts next to its twin
+        if (pairs[1:] == pairs[:-1]).any():
+            raise DomainError("duplicate edge in adjacency")
+        del pairs  # before the gathers, to keep the peak of the build low
         edge_var = edge_var[order]
         edge_chk = edge_chk[order]
         chk_deg = np.bincount(edge_chk, minlength=m)
@@ -224,6 +229,11 @@ def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
     own checks if there are none).  Candidates come from a lazy-deletion
     heap.  Deterministic for a given seed (ties broken by pre-drawn random
     keys).
+
+    The check rows are slices of one flat list of m * width Python ints,
+    width doubling when a row fills; a variable's neighbourhood is built
+    once and grows by the chosen check's row after each of its edges, as
+    nothing else is placed in between.
     """
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got n={n} m={m}")
@@ -240,63 +250,69 @@ def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
 
     # heap entries pack (degree << 44) | (tiebreak << 24) | check; an entry
     # is stale once the check's degree moved on, and each degree change
-    # pushes a fresh entry, so exactly one live entry exists per check
+    # enters a fresh entry, so exactly one live entry exists per check and
+    # no two entries are equal
     heap = [(t << 24) | c for c, t in enumerate(tiebreak)]
     heapq.heapify(heap)
 
-    # variable v's checks fill var_mv[start[v]:end[v]] in placement order;
-    # check c's variables fill row c of chk_vars, read flat through chk_mv
-    start = memoryview(np.concatenate(([0], np.cumsum(degrees, dtype=np.int64))))
-    end = memoryview(np.array(start[:-1]))
+    # variable v's checks fill var_chks[start[v]:start[v + 1]] in placement
+    # order; check c's variables fill rows[c * width:c * width + chk_deg[c]],
+    # one flat list of Python ints, so a row is read by one slice
+    start = np.concatenate(([0], np.cumsum(degrees, dtype=np.int64))).tolist()
     var_chks = np.empty(n_edges, dtype=np.int32)
     var_mv = memoryview(var_chks)
     width = max(4, int(math.ceil(n_edges / m)) + 4)
-    chk_vars = np.empty((m, width), dtype=np.int32)
-    chk_mv = memoryview(chk_vars.reshape(-1))
+    rows = [0] * (m * width)
     chk_deg = [0] * m
 
     for v in np.argsort(degrees, kind="stable").tolist():
-        for _ in range(start[v + 1] - start[v]):
-            own = var_mv[start[v]:end[v]].tolist()
-            # variables sharing a check with v, v included: a check is
-            # within distance 2 of v exactly when one of its variables is
-            # here
-            adj = set()
-            for c in own:
-                row = c * width
-                adj.update(chk_mv[row:row + chk_deg[c]])
-            chosen = -1
+        # adj holds the variables sharing a check with v, v included: a
+        # check is within distance 2 of v exactly when its row meets adj,
+        # which also rules out v's own checks
+        adj = set()
+        for pos in range(start[v], start[v + 1]):
             stash = []
             while heap:
-                packed = heapq.heappop(heap)
+                packed = heap[0]
                 c = packed & 0xFFFFFF
-                if packed >> 44 != chk_deg[c]:
-                    continue  # stale entry
-                row = c * width
-                if c in own or not adj.isdisjoint(chk_mv[row:row + chk_deg[c]]):
-                    stash.append(packed)
-                    continue
-                chosen = c
-                break
-            if chosen < 0:
+                d = chk_deg[c]
+                if packed >> 44 != d:
+                    heapq.heappop(heap)  # stale entry
+                elif adj.isdisjoint(rows[c * width:c * width + d]):
+                    break
+                else:
+                    stash.append(heapq.heappop(heap))
+            else:
+                own = var_mv[start[v]:pos].tolist()
                 if not own:
                     raise DomainError("no placeable check; graph parameters inconsistent")
-                near = set().union(*(var_mv[start[u]:end[u]] for u in adj))
+                # every other variable in adj is placed in full
+                near = set().union(*(var_mv[start[u]:start[u + 1]] for u in adj if u != v))
                 last = sorted(near.difference(own)) or own
-                chosen = min(last, key=lambda c: (chk_deg[c] << 20) | tiebreak[c])
+                c = min(last, key=lambda c: (chk_deg[c] << 20) | tiebreak[c])
+                d = chk_deg[c]
+            t = next(fresh)
+            tiebreak[c] = t
+            # the chosen check's live entry is on top, unless the heap ran
+            # dry; the keys are unique, so the order of later pops depends
+            # only on which keys the heap holds
+            if heap:
+                heapq.heapreplace(heap, ((d + 1) << 44) | (t << 24) | c)
+            else:
+                heapq.heappush(heap, ((d + 1) << 44) | (t << 24) | c)
             for packed in stash:
                 heapq.heappush(heap, packed)
-            c = chosen
-            if chk_deg[c] >= width:
-                chk_vars = np.concatenate([chk_vars, np.empty_like(chk_vars)], axis=1)
+            if d >= width:
+                grown = [0] * (2 * m * width)
+                for r in range(m):
+                    grown[2 * r * width:(2 * r + 1) * width] = rows[r * width:(r + 1) * width]
+                rows = grown
                 width *= 2
-                chk_mv = memoryview(chk_vars.reshape(-1))
-            chk_mv[c * width + chk_deg[c]] = v
-            chk_deg[c] += 1
-            var_mv[end[v]] = c
-            end[v] += 1
-            tiebreak[c] = next(fresh)
-            heapq.heappush(heap, (chk_deg[c] << 44) | (tiebreak[c] << 24) | c)
+            row = c * width
+            rows[row + d] = v
+            chk_deg[c] = d + 1
+            var_mv[pos] = c
+            adj.update(rows[row:row + d + 1])
 
     return LdpcCode._from_var_major(n, m, degrees, var_chks)
 

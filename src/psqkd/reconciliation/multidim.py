@@ -99,11 +99,12 @@ def snr_estimate(x, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if x.size != y.size or x.size < 2:
         raise DomainError("need two equal-length batches of at least 2 samples")
-    sxx = float(x @ x)
-    syy = float(y @ y)
+    # einsum, not a BLAS dot: the sums do not depend on the BLAS thread count
+    sxx = float(np.einsum("i,i->", x, x))
+    syy = float(np.einsum("i,i->", y, y))
     if sxx <= 0.0 or syy <= 0.0:
         raise DomainError("zero-energy batch; snr undefined")
-    rho2 = float(x @ y) ** 2 / (sxx * syy)
+    rho2 = float(np.einsum("i,i->", x, y)) ** 2 / (sxx * syy)
     if rho2 >= 1.0 - 1e-12:
         raise DomainError("correlation saturated; snr estimate diverges")
     return rho2 / (1.0 - rho2)

@@ -11,6 +11,9 @@ intended fix if a band check ever trips after a code change.
 
 import gzip
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -470,3 +473,24 @@ class TestRecordsIO:
                 x_a=np.zeros(3), p_a=np.zeros(3),
                 accepted=np.zeros(2, dtype=bool), x_b=np.zeros(3),
             )
+
+
+def test_reductions_do_not_depend_on_blas_threads():
+    # a BLAS dot product of a vector this long runs on several threads, and
+    # its last bits change with their number; the chunk sums and the block
+    # snr estimate must not
+    code = ("import numpy as np; from psqkd.montecarlo import _chunk_sums; "
+            "from psqkd.reconciliation import snr_estimate; "
+            "rng = np.random.default_rng(5); x, p, y = rng.standard_normal((3, 1 << 18)); "
+            "acc = rng.random(1 << 18) < 0.9; "
+            "print([v.hex() for v in _chunk_sums(x, p, y, acc)], snr_estimate(x, y).hex())")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

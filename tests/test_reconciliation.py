@@ -1,6 +1,7 @@
 """Reconciliation tests: rotation algebra, code construction, decoding,
 and the bench harness at desk scale."""
 
+import hashlib
 import heapq
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psqkd.analysis import beta_from_rate_snr
+from psqkd.cli import PEG_PROFILE
 from psqkd.errors import DegenerateBlockError, DomainError
 from psqkd.montecarlo import collect_accepted_pairs, run_experiment
 from psqkd.reconciliation import (
@@ -295,6 +297,14 @@ class TestLdpcGraph:
             peg_construct(100, 90, {1: 1.0}, seed=0)
         with pytest.raises(DomainError):
             peg_construct(100, 90, {2: 0.5}, seed=0)
+
+    @pytest.mark.parametrize("var_lists", [
+        [[0, 1, 0], [0, 1], [0, 1]],   # twins apart, on the first sorted edge
+        [[0, 1], [0, 1], [1, 0, 1]],   # twins apart, on the last sorted edge
+    ])
+    def test_duplicate_edge_is_a_domain_error(self, var_lists):
+        with pytest.raises(DomainError, match="duplicate edge"):
+            LdpcCode.from_adjacency(3, 2, var_lists)
 
     @pytest.mark.parametrize("m", [0, -1, 10])
     def test_check_count_outside_one_to_n_is_a_domain_error(self, m):
@@ -685,6 +695,16 @@ def peg_parameters(draw):
 def test_peg_matches_reference_on_small_graphs(params):
     assert (construction(peg_construct, *params)
             == construction(reference_peg_construct, *params))
+
+
+def test_reconcile_graph_is_pinned():
+    # the n = 2^16 code the reconcile benchmark builds at seed 7; its bench
+    # rows (0/4 blocks decoded, no iteration count) would not notice a
+    # different graph
+    code = peg_construct(65536, 58982, PEG_PROFILE, 7)
+    digest = hashlib.sha256(code.edge_var.astype(np.int64).tobytes()
+                            + code.edge_chk.astype(np.int64).tobytes()).hexdigest()
+    assert digest == "d441ecbe40a3cd817bfaa4043c506facccd7821b58542f88cbfba04f55b1c196"
 
 
 def test_check_fold_matches_reduceat(code512):
