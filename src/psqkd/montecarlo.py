@@ -12,7 +12,11 @@ postselection for another, without new quantum data.
 
 Sampling is chunked; each chunk owns an independent child stream of the run
 seed and chunk sums are reduced with compensated summation, so results are
-bitwise reproducible regardless of how chunks are scheduled.
+bitwise reproducible regardless of how chunks are scheduled.  Acceptance is
+decided in cache-sized blocks of _BLOCK rows: each block draws its uniforms
+and evaluates the filter in place in small buffers, so no chunk-sized
+temporary is made and the bits equal one uniform array compared against
+filter_q.
 collect_accepted_pairs draws accepted pairs from their closed-form law
 instead, so they are not a prefix of run_experiment's accepted stream.
 """
@@ -29,9 +33,11 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .gaussian import ChannelSpec, TwoModeCovariance
-from .subtraction import SCHEME_ON_OFF, SourceSpec, _filter_coefficient, filter_q
+from .subtraction import SCHEME_ON_OFF, SourceSpec, _filter_coefficient, _filter_into
 
 _CHUNK = 1 << 20
+# Rows per acceptance block: three float buffers of 128 KB stay in L2.
+_BLOCK = 1 << 14
 # Rows formatted per write by export_records.  A chunk's format string,
 # value tuple and text stay under ~0.5 MB: at 2^16 rows they left 6-12 MB
 # more of the heap resident after a 10^6-row export.
@@ -189,27 +195,48 @@ def _receiver(src: SourceSpec, ch: ChannelSpec) -> tuple[float, float]:
             math.sqrt(1.0 + ch.t_c * ch.epsilon))
 
 
+def _accept(rng, src: SourceSpec, x, p):
+    """Bool mask of accepted rows: a uniform draw below filter_q(x, p, src).
+
+    Works in blocks of _BLOCK rows, drawing each block's uniforms with
+    rng.random into one reused buffer and the filter into two more.
+    rng.random gives the doubles of rng.uniform(size=x.size) (one 64-bit
+    draw each, and 0 + 1 d = d), block after block, so the stream and the
+    mask are those of rng.uniform(size=x.size) < filter_q(x, p, src).
+    """
+    n = x.size
+    acc = np.empty(n, dtype=bool)
+    u, q, scratch = (np.empty(min(n, _BLOCK)) for _ in range(3))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        m = hi - lo
+        rng.random(out=u[:m])
+        _filter_into(x[lo:hi], p[lo:hi], src, q[:m], scratch[:m])
+        np.less(u[:m], q[:m], out=acc[lo:hi])
+    return acc
+
+
 def _rounds(src: SourceSpec, ch: ChannelSpec, sizes, seed: int):
     """Yield (x_a, p_a, x_b, accepted) for each chunk size in turn.
 
     Chunk i draws from child i of SeedSequence(seed), in the order x_a,
     p_a, the acceptance uniforms, then the receiver noise, so every caller
-    sees the same rounds for the same seed and chunk layout.  Callers drop
-    each chunk before asking for the next, which keeps one chunk alive.
+    sees the same rounds for the same seed and chunk layout.  The generator
+    drops its own references to a chunk once the caller takes it, so a
+    caller that keeps no chunk holds one chunk's arrays at a time.
     """
     het_sd = math.sqrt((src.v + 1.0) / 2.0)
     mean_coef, noise_sd = _receiver(src, ch)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     for child, size in zip(children, sizes):
         rng = np.random.default_rng(child)
-        # Two chunk-sized arrays, not one (2, size) block, and uniforms that
-        # die with the comparison: the same stream either way, but the block
-        # and live uniforms raised the protocol workload's peak RSS by ~30
-        # and ~12 MB.
+        # Two chunk-sized arrays, not one (2, size) block: the same stream,
+        # but the block raised the protocol workload's peak RSS by ~30 MB.
         x, p = [rng.normal(0.0, het_sd, size) for _ in range(2)]
-        acc = rng.uniform(size=size) < filter_q(x, p, src)
+        acc = _accept(rng, src, x, p)
         y = mean_coef * x + rng.normal(0.0, noise_sd, size)
         yield x, p, y, acc
+        del x, p, y, acc
 
 
 def run_experiment(src: SourceSpec, ch: ChannelSpec, n_samples: int, seed: int,
@@ -280,9 +307,7 @@ def rescale_and_filter(records: ExperimentRecords, spec: RescaleSpec, k: int,
     src = SourceSpec.k_photon(spec.v_prime, spec.eta, k)
     x = spec.g * records.x_a
     p = spec.g * records.p_a
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = rng.uniform(size=len(records))
-    acc = u < filter_q(x, p, src)
+    acc = _accept(np.random.default_rng(np.random.SeedSequence(seed)), src, x, p)
     out = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=records.x_b)
     return out, _estimate([_chunk_sums(x, p, records.x_b, acc)], len(records))
 

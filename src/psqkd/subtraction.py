@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gaussian import TwoModeCovariance, _first, _plain, _xlogy
+from .gaussian import TwoModeCovariance, _first, _plain
 
 SCHEME_NONE = "none"
 SCHEME_K_PHOTON = "k_photon"
@@ -241,15 +241,42 @@ def filter_q(x_a, p_a, src: SourceSpec):
     """
     x_a = np.asarray(x_a, dtype=float)
     p_a = np.asarray(p_a, dtype=float)
-    if src.scheme == SCHEME_NONE:
-        shape = np.broadcast_shapes(x_a.shape, p_a.shape)
-        return np.ones(shape) if shape else 1.0
-    u = _filter_coefficient(src) * (x_a * x_a + p_a * p_a)
-    if src.scheme == SCHEME_ON_OFF:
-        q = -np.expm1(-u)
-    else:
-        q = np.exp(_xlogy(src.k, u) - u - math.lgamma(src.k + 1))
+    shape = np.broadcast_shapes(x_a.shape, p_a.shape, np.shape(_filter_coefficient(src)))
+    q = np.empty(shape)
+    _filter_into(x_a, p_a, src, q, np.empty(shape))
     if q.shape == ():
         return float(q)
     return q
 
+
+def _filter_into(x, p, src: SourceSpec, q, scratch) -> None:
+    """Write filter_q(x, p, src) into the float array q, with no other temporary.
+
+    x and p broadcast to q's shape, and scratch is a float array of that
+    shape whose contents are overwritten.  The operations are filter_q's
+    formula step by step, so q gets its bits exactly.  Block-wise callers
+    pass slices of small reused buffers and keep the work in cache.
+    """
+    if src.scheme == SCHEME_NONE:
+        q[...] = 1.0
+        return
+    np.multiply(x, x, out=q)
+    np.multiply(p, p, out=scratch)
+    np.add(q, scratch, out=q)
+    np.multiply(_filter_coefficient(src), q, out=q)  # u
+    if src.scheme == SCHEME_ON_OFF:
+        np.negative(q, out=q)
+        np.expm1(q, out=q)
+        np.negative(q, out=q)
+        return
+    # exp(k log u - u - lgamma(k + 1)), the k log u term taken as 0 at k = 0
+    # (0 log 0 = 0), as gaussian._xlogy takes it
+    if src.k == 0:
+        scratch[...] = 0.0
+    else:
+        with np.errstate(divide="ignore"):
+            np.log(q, out=scratch)
+        np.multiply(src.k, scratch, out=scratch)
+    np.subtract(scratch, q, out=q)
+    np.subtract(q, math.lgamma(src.k + 1), out=q)
+    np.exp(q, out=q)

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,32 @@ from hypothesis import strategies as st
 from mc_bands import SE_INFLATION, cov_within
 
 from psqkd.errors import DomainError, EstimationError
-from psqkd.gaussian import ChannelSpec, TwoModeCovariance, apply_channel, key_rate_homodyne
+from psqkd.gaussian import (
+    ChannelSpec,
+    TwoModeCovariance,
+    _xlogy,
+    apply_channel,
+    key_rate_homodyne,
+)
 from psqkd.montecarlo import (
     ExperimentRecords,
     RescaleSpec,
+    _chunk_sums,
+    _estimate,
+    _receiver,
     collect_accepted_pairs,
     export_records,
     load_records,
     rescale_and_filter,
     run_experiment,
 )
-from psqkd.subtraction import SourceSpec, covariance_subtracted, filter_q, v_tilde
+from psqkd.subtraction import (
+    SourceSpec,
+    _filter_coefficient,
+    covariance_subtracted,
+    filter_q,
+    v_tilde,
+)
 
 IDEAL = ChannelSpec(t_c=1.0, epsilon=0.0)
 BAND = 3.0 * SE_INFLATION
@@ -494,3 +510,128 @@ def test_reductions_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr[-2000:]
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# The acceptance step as it stood before the blocked, in-place kernel:
+# filter_q's formula on whole arrays, one uniform array per chunk and one per
+# rescale.  The kernel must give these bits.
+
+
+def reference_filter_q(x_a, p_a, src):
+    """filter_q as one expression per step on whole arrays, verbatim."""
+    x_a = np.asarray(x_a, dtype=float)
+    p_a = np.asarray(p_a, dtype=float)
+    if src.scheme == "none":
+        shape = np.broadcast_shapes(x_a.shape, p_a.shape)
+        return np.ones(shape) if shape else 1.0
+    u = _filter_coefficient(src) * (x_a * x_a + p_a * p_a)
+    if src.scheme == "on_off":
+        q = -np.expm1(-u)
+    else:
+        q = np.exp(_xlogy(src.k, u) - u - math.lgamma(src.k + 1))
+    if q.shape == ():
+        return float(q)
+    return q
+
+
+def reference_rounds(src, ch, sizes, seed):
+    het_sd = math.sqrt((src.v + 1.0) / 2.0)
+    mean_coef, noise_sd = _receiver(src, ch)
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    for child, size in zip(children, sizes):
+        rng = np.random.default_rng(child)
+        x, p = [rng.normal(0.0, het_sd, size) for _ in range(2)]
+        acc = rng.uniform(size=size) < reference_filter_q(x, p, src)
+        y = mean_coef * x + rng.normal(0.0, noise_sd, size)
+        yield x, p, y, acc
+
+
+def reference_run(src, ch, n, seed):
+    sizes = [min(1 << 20, n - lo) for lo in range(0, n, 1 << 20)]
+    chunks = list(reference_rounds(src, ch, sizes, seed))
+    estimate = _estimate([_chunk_sums(*chunk) for chunk in chunks], n)
+    x, p, y, acc = (np.concatenate(col) for col in zip(*chunks))
+    return ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y), estimate
+
+
+def reference_rescale_and_filter(records, spec, k, seed):
+    src = SourceSpec.k_photon(spec.v_prime, spec.eta, k)
+    x = spec.g * records.x_a
+    p = spec.g * records.p_a
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    u = rng.uniform(size=len(records))
+    acc = u < reference_filter_q(x, p, src)
+    out = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=records.x_b)
+    return out, _estimate([_chunk_sums(x, p, records.x_b, acc)], len(records))
+
+
+def estimate_bits(est):
+    """Every field of a MomentEstimate, floats as hex, so -0.0 != 0.0."""
+    cov, *rest = astuple(est)
+    return [v if isinstance(v, int) else float(v).hex() for v in (*cov, *rest)]
+
+
+KERNEL_SOURCES = [
+    *(SourceSpec.k_photon(20.0, 0.8, k, eta_d) for eta_d in (1.0, 0.5) for k in (0, 1, 2)),
+    SourceSpec.on_off(20.0, 0.8, 0.7),
+    SourceSpec.tmsv(20.0),
+]
+KERNEL_IDS = [f"{s.scheme}-k{s.k}-eta{s.eta_d}" for s in KERNEL_SOURCES]
+# one partial block; whole blocks then a partial one, with receiver noise
+# drawn after it; one whole chunk; two chunks, the total not a block multiple
+KERNEL_SIZES = [10_000, 100_000, 1 << 20, (1 << 20) + 4321]
+
+
+class TestAcceptanceKernel:
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("src", KERNEL_SOURCES, ids=KERNEL_IDS)
+    def test_run_matches_reference(self, src, n):
+        ch = ChannelSpec(t_c=0.5, epsilon=0.02)
+        res = run_experiment(src, ch, n, seed=41)
+        want_recs, want_est = reference_run(src, ch, n, seed=41)
+        assert_bit_identical(res.records, want_recs)
+        assert estimate_bits(res.estimate) == estimate_bits(want_est)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_rescale_matches_reference(self, k, n):
+        rng = np.random.default_rng(n + k)
+        x, p, y = rng.normal(0.0, 3.0, (3, n))
+        x[:3] = p[3:6] = y[:2] = 0.0
+        x[3:6] = p[:3] = y[2:4] = -0.0
+        recs = ExperimentRecords(x_a=x, p_a=p, accepted=np.zeros(n, dtype=bool), x_b=y)
+        spec = RescaleSpec(v=20.0, t0=0.8, eta=0.9)
+        out, est = rescale_and_filter(recs, spec, k, seed=13)
+        want_out, want_est = reference_rescale_and_filter(recs, spec, k, seed=13)
+        assert_bit_identical(out, want_out)
+        assert estimate_bits(est) == estimate_bits(want_est)
+
+    def test_streaming_run_holds_one_chunk(self):
+        # three chunks, none kept: the generator must release each chunk
+        # before drawing the next, and acceptance must make no chunk-sized
+        # temporaries (whole-array uniforms and filter steps made 7.2 chunks)
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        chunk_bytes = 8 << 20
+        tracemalloc.start()
+        try:
+            run_experiment(src, IDEAL, 3 << 20, seed=3, keep_records=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
+
+    def test_rescale_peak_memory(self):
+        # the rescaled x_a and p_a are the only column-sized arrays it makes
+        # (whole-array uniforms and filter steps made 6 columns)
+        n = 1 << 18
+        rng = np.random.default_rng(8)
+        x, p, y = rng.standard_normal((3, n))
+        recs = ExperimentRecords(x_a=x, p_a=p, accepted=np.zeros(n, dtype=bool), x_b=y)
+        column_bytes = 8 * n
+        tracemalloc.start()
+        try:
+            rescale_and_filter(recs, RescaleSpec(v=20.0, t0=0.8, eta=0.9), 1, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * column_bytes, f"peak {peak / column_bytes:.2f} columns"

@@ -13,7 +13,10 @@ Over random (v, t, k, eta_d, distance, epsilon):
   a verbatim copy of the scalar search it replaced, called per distance;
 - pairs drawn exactly from the accepted law have the second moments the
   closed forms give: <x_a^2> = <vt>, <x_a x_b> = m <vt> and
-  <x_b^2> = m^2 <vt> + 1 + t_c epsilon, with m = sqrt(2 t t_c) lam.
+  <x_b^2> = m^2 <vt> + 1 + t_c epsilon, with m = sqrt(2 t t_c) lam;
+- the in-place, block-wise acceptance filter gives, bit for bit, the
+  whole-array filter_q and a verbatim copy of its formula, on outcomes
+  from signed zeros to overflowing squares, and scalars stay floats.
 
 Regression tests check that a single out-of-range or non-physical element
 of a batch still raises: vectorisation drops no check.
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_montecarlo import reference_filter_q
 
 from psqkd.analysis import pipeline_key_rate, tolerable_excess_noise
 from psqkd.errors import DomainError, InvalidStateError, PsqkdError, SingularityError
@@ -40,7 +44,9 @@ from psqkd.gaussian import (
 from psqkd.montecarlo import collect_accepted_pairs
 from psqkd.subtraction import (
     SourceSpec,
+    _filter_into,
     covariance_subtracted,
+    filter_q,
     success_prob_k,
     success_prob_onoff,
     v_tilde,
@@ -196,6 +202,44 @@ def test_exact_pairs_match_closed_form_moments(src, t, t_c, epsilon, seed):
                            (y * y, m * m * vt + 1.0 + t_c * epsilon)):
         se = sample.std() / math.sqrt(sample.size)
         assert abs(sample.mean() - target) <= 5.0 * se
+
+
+# outcomes at the edges of the filter: signed zeros, subnormals, values whose
+# square underflows or overflows, and ordinary ones
+edge_outcomes = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170,
+                               1e170, -1e170, 1e300, -1e300]),
+              st.floats(-40.0, 40.0, **finite)),
+    min_size=1, max_size=40)
+
+
+@CHAIN
+@given(src=sources(), t=st.floats(0.01, 1.0, **finite), xs=edge_outcomes,
+       ps=edge_outcomes, seed=st.integers(0, 2**32 - 1), block=st.integers(1, 9))
+def test_filter_into_equals_filter_q_bit_for_bit(src, t, xs, ps, seed, block):
+    src = replace(src, t=t)
+    # drawn floats are often short binary fractions whose products are
+    # exact, so Gaussian outcomes are appended to exercise rounding
+    rng = np.random.default_rng(seed)
+    m = min(len(xs), len(ps))
+    x = np.concatenate([xs[:m], rng.normal(0.0, 4.0, 64)])
+    p = np.concatenate([ps[:m], rng.normal(0.0, 4.0, 64)])
+    n = x.size
+    # buffers full of other values, filled block by block as the sampler does
+    q, scratch = np.full(n, np.nan), np.full(n, -7.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_filter_q(x, p, src)
+        got = filter_q(x, p, src)
+        for lo in range(0, n, block):
+            hi = lo + block
+            _filter_into(x[lo:hi], p[lo:hi], src, q[lo:hi], scratch[lo:hi])
+        scalars = [(filter_q(a, b, src), reference_filter_q(a, b, src))
+                   for a, b in zip(x.tolist(), p.tolist())]
+    assert got.tobytes() == want.tobytes()
+    assert q.tobytes() == want.tobytes()
+    for one, ref in scalars:
+        assert type(one) is float
+        assert one.hex() == ref.hex()
 
 
 @ORACLE
