@@ -19,15 +19,23 @@ temporary is made and the bits equal one uniform array compared against
 filter_q.
 collect_accepted_pairs draws accepted pairs from their closed-form law
 instead, so they are not a prefix of run_experiment's accepted stream.
+
+export_records writes the bytes "%.17g" % v gives, but computes them in
+NumPy: each float's 17 significant digits come exactly from its binary
+mantissa and exponent, rounded half to even, and a row-wide mask keyed by
+the decimal exponent, sign and trailing zeros keeps the characters %g
+prints, so values of every exponent share one layout and one compress.
+Rows holding a zero or a value outside [1e-4, 1e16) in magnitude, which
+%g prints with an exponent or as inf or nan, are formatted by % in order.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -38,11 +46,54 @@ from .subtraction import SCHEME_ON_OFF, SourceSpec, _filter_coefficient, _filter
 _CHUNK = 1 << 20
 # Rows per acceptance block: three float buffers of 128 KB stay in L2.
 _BLOCK = 1 << 14
-# Rows formatted per write by export_records.  A chunk's format string,
-# value tuple and text stay under ~0.5 MB: at 2^16 rows they left 6-12 MB
-# more of the heap resident after a 10^6-row export.
-_IO_CHUNK = 1 << 12
+# Rows formatted per write by export_records.  A chunk's row matrix and
+# mask take 280 KB each and np.compress's index array ~1 MB, so a chunk
+# peaks at ~2.2 MB under tracemalloc.  2^12 rows ran no faster at twice
+# the memory, and 2^14 at half the speed.
+_IO_CHUNK = 1 << 11
 _ROW_FORMAT = "%.17g %.17g %d %.17g\n"
+
+# export_records prints a float v with 1e-4 <= |v| < 1e16 from its exact
+# digits: v = D 10^(X-16) with D the 17 significant digits, rounded half to
+# even as %.17g rounds them, and %g prints it in fixed notation.  Each float
+# of a row gets a slot of _SLOT bytes: a "-", then each character of "0000"
+# followed by the 17 digits, each followed by a ".", then the separators.
+# A mask picked by (slot, sign, X, digits left once trailing zeros go)
+# keeps the characters %g prints, so no byte moves per value.
+_SLOT = 46
+_POW5 = np.array([5**k for k in range(22)], dtype=np.uint64)
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The formatter's read-only tables, built on first use.
+
+    quad: the four ASCII digits of 0..9999 as one uint32 each; quad_zeros:
+    their trailing zeros; keep: the keep-mask of each key ((slot 2 + sign)
+    21 + X + 4) 18 + n, for n the digits left once trailing zeros go;
+    row: the bytes of one row's three slots.  %g prints the integer part
+    "0000D"[start:X+5], start = min(4, X+4), then a point and
+    "0000D"[X+5:4+n] if that is not empty."""
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
+    quad = np.ascontiguousarray(digits + ord("0")).view(np.uint32).ravel()
+    quad_zeros = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    j = np.arange(21)
+    x = np.arange(-4, 17)[:, None, None]
+    n = np.arange(18)[None, :, None]
+    digit = (j >= np.minimum(4, x + 4)) & (j < np.maximum(x + 5, 4 + n))
+    point = (j == x + 4) & (4 + n > x + 5)
+    keep = np.zeros((3, 2, 21, 18, _SLOT), dtype=bool)
+    keep[:, 1, ..., 0] = True
+    keep[..., 1:43:2] = digit
+    keep[..., 2:44:2] = point
+    keep[0, ..., 43] = keep[1, ..., 43:] = keep[2, ..., 43] = True
+    row = np.full((3, _SLOT), ord("."), dtype=np.uint8)
+    row[:, 0] = ord("-")
+    row[:, 43:] = np.frombuffer(b" .. 0 \n..", dtype=np.uint8).reshape(3, 3)
+    tables = quad, quad_zeros, keep.reshape(-1, _SLOT), row.ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
@@ -312,31 +363,126 @@ def rescale_and_filter(records: ExperimentRecords, spec: RescaleSpec, k: int,
     return out, _estimate([_chunk_sums(x, p, records.x_b, acc)], len(records))
 
 
+def _scaled(m, e, k):
+    """(floor, round half to even) of m 5^k 2^(e+k), exactly, as uint64.
+
+    m < 2^53 and 5^k < 2^49, so the product is under 2^102: it is built
+    from 32-bit limbs as hi 2^64 + lo.  A right shift is under 64 bits; a
+    left shift only happens when the result, hence hi, is small."""
+    f = _POW5[k]
+    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
+    f_lo, f_hi = f & 0xFFFFFFFF, f >> 32
+    low = m_lo * f_lo
+    mid = m_lo * f_hi + m_hi * f_lo
+    carry = (low >> 32) + (mid & 0xFFFFFFFF)
+    lo = (carry << 32) | (low & 0xFFFFFFFF)
+    hi = (carry >> 32) + (mid >> 32) + m_hi * f_hi
+    shift = -(e + k)
+    right = np.maximum(shift, 0).astype(np.uint64)
+    left = np.maximum(-shift, 0).astype(np.uint64)
+    # a shift by 64 gives 0 in NumPy, so right = 0 keeps lo alone
+    q = ((hi << (64 - right)) | (lo >> right)) << left
+    twice_rest = (lo & ((1 << right) - 1)) << 1
+    half = 1 << right
+    return q, q + ((twice_rest > half) | ((twice_rest == half) & ((q & 1) == 1)))
+
+
+def _decimal_digits(a):
+    """(D, X): a = D 10^(X-16) to 17 significant digits, as %.17g rounds.
+
+    For finite a with 1e-4 <= a < 1e16.  With a = m 2^e and k = 16 - X,
+    D = m 5^k 2^(e+k) rounded half to even.  X starts as floor(log10 a),
+    which can be one off next to a power of ten; the exact floor of
+    a 10^k must lie in [10^16, 10^17), else X moves by one.  D never
+    rounds up to 10^17: no double lies within half a unit of the 17th
+    digit below a power of ten, since 17 digits resolve doubles."""
+    frac, exp = np.frexp(a)
+    m = (frac * 2.0 ** 53).astype(np.uint64)
+    e = exp.astype(np.int64) - 53
+    x = np.floor(np.log10(a)).astype(np.int64)
+    q, d = _scaled(m, e, 16 - x)
+    off = np.flatnonzero((q < 10**16) | (q >= 10**17))
+    if off.size:
+        x[off] += np.where(q[off] < 10**16, -1, 1)
+        d[off] = _scaled(m[off], e[off], 16 - x[off])[1]
+    return d, x
+
+
+def _format_rows(x_a, p_a, accepted, x_b) -> bytes:
+    """The bytes of _ROW_FORMAT % row for each row of the four columns.
+
+    Floats with 1e-4 <= |v| < 1e16 are printed from _decimal_digits; a row
+    holding any other value (a zero, a subnormal, inf, nan, or a value %g
+    prints with an exponent) is formatted by % and spliced in in order."""
+    n = len(x_a)
+    v = np.column_stack([x_a, p_a, x_b]).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    d, x = _decimal_digits(a)
+    quad, quad_zeros, keep_table, row_bytes = _format_tables()
+    hi, lo = (d // 10**8).astype(np.uint32), (d % 10**8).astype(np.uint32)
+    # D as one leading digit and four groups of four, each group one uint32
+    # of ASCII digits; the leading "0000" makes the row "0000" + D
+    groups = (hi // 10**8, hi // 10**4 % 10**4, hi % 10**4, lo // 10**4, lo % 10**4)
+    quads = np.empty((3 * n, 6), dtype=np.uint32)
+    quads[:, 0] = quad[0]
+    for col, g in enumerate(groups, 1):
+        quads[:, col] = quad[g]
+    # trailing zeros of D, group by group from the right (d0 is not 0)
+    zeros = quad_zeros[groups[4]]
+    for i, g in enumerate(groups[3:0:-1], 1):
+        more = np.flatnonzero(zeros == 4 * i)
+        zeros[more] += quad_zeros[g[more]]
+    key = (((np.arange(3 * n) % 3) * 2 + np.signbit(v)) * 21 + x + 4) * 18 + 17 - zeros
+    rows = np.empty((n, 3 * _SLOT), dtype=np.uint8)
+    rows[:] = row_bytes
+    rows.reshape(3 * n, _SLOT)[:, 1:43:2] = quads.view(np.uint8)[:, 3:]
+    rows[:, _SLOT + 44] += accepted.view(np.uint8)
+    keep = keep_table.take(key, axis=0).reshape(n, 3 * _SLOT)
+    text = np.compress(keep.ravel(), rows.ravel()).tobytes()
+    if fast.all():
+        return text
+    # not np.unique: its first call left an allocation at the top of the
+    # heap, which kept ~32 MB of freed records resident after an export
+    slow = np.flatnonzero(~fast.reshape(n, 3).all(axis=1))
+    lengths = np.count_nonzero(keep, axis=1)
+    ends = lengths.cumsum()
+    parts, done = [], 0
+    for i in slow:
+        parts.append(text[done:ends[i] - lengths[i]])
+        parts.append((_ROW_FORMAT % (float(x_a[i]), float(p_a[i]), int(accepted[i]),
+                                     float(x_b[i]))).encode())
+        done = ends[i]
+    parts.append(text[done:])
+    return b"".join(parts)
+
+
 def export_records(records: ExperimentRecords, path: str) -> None:
     """Write records as columnar text; a path ending in .gz gzips the stream.
 
     The format is two header lines, "# columns=x_a p_a accepted x_b" and
     "# n_samples=<rows>", then one line per round: x_a, p_a, accepted (0 or
     1) and x_b, separated by single spaces, floats at %.17g so they read
-    back bit for bit.  Rows are formatted and written in chunks of
-    _IO_CHUNK, so memory stays bounded.  gzip runs at level 1, which
-    writes ~2.7x faster than the default level 9 for a ~7% larger file;
-    the decompressed text is the same at any level.
+    back bit for bit.  The bytes are those of "%.17g" % v: values with
+    1e-4 <= |v| < 1e16 are printed from their exact decimal digits in
+    NumPy, and a row holding any other value is formatted by % itself.
+    Rows are formatted and written in chunks of _IO_CHUNK, so memory stays
+    bounded.  gzip runs at level 1, which writes ~2.7x faster than the
+    default level 9 for a ~7% larger file; the decompressed text is the
+    same at any level.
     """
     if str(path).endswith(".gz"):
-        fh = gzip.open(path, "wt", compresslevel=1)
+        fh = gzip.open(path, "wb", compresslevel=1)
     else:
-        fh = open(path, "w")
+        fh = open(path, "wb")
     n = len(records)
     with fh:
-        fh.write("# columns=x_a p_a accepted x_b\n")
-        fh.write(f"# n_samples={n}\n")
+        fh.write(b"# columns=x_a p_a accepted x_b\n# n_samples=%d\n" % n)
         for lo in range(0, n, _IO_CHUNK):
-            cols = [col[lo:lo + _IO_CHUNK].tolist() for col in
-                    (records.x_a, records.p_a, records.accepted, records.x_b)]
-            # one % over the whole chunk, row-major values
-            fh.write(_ROW_FORMAT * len(cols[0])
-                     % tuple(chain.from_iterable(zip(*cols))))
+            rows = slice(lo, lo + _IO_CHUNK)
+            fh.write(_format_rows(records.x_a[rows], records.p_a[rows],
+                                  records.accepted[rows], records.x_b[rows]))
 
 
 def load_records(path: str) -> ExperimentRecords:

@@ -1,7 +1,7 @@
 """Monte Carlo sampler tests: estimator calibration against the analytic
 chain for ideal and lossy counters, rescaling, exact accepted-pair draws
 against the rejection sampler, and record IO (pinned bytes, a round-trip
-property, malformed input).
+property, malformed input, and the bytes of the % formatter it replaced).
 
 Statistical checks run at fixed seeds verified to sit inside their 3-sigma
 bands (inflated 20% for moment estimators, whose Gaussian-formula standard
@@ -17,6 +17,7 @@ import sys
 import tempfile
 import tracemalloc
 from dataclasses import astuple
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from psqkd.gaussian import (
     key_rate_homodyne,
 )
 from psqkd.montecarlo import (
+    _IO_CHUNK,
     ExperimentRecords,
     RescaleSpec,
     _chunk_sums,
@@ -483,12 +485,97 @@ class TestRecordsIO:
         assert len(back) == n
         assert peak < 1.5 * column_bytes, f"peak {peak / column_bytes:.2f}x the column bytes"
 
+    def test_export_peak_memory(self):
+        # rows are formatted chunk by chunk: the peak is a chunk's working
+        # set, not the file's text (~16 MB here)
+        n = 1 << 18
+        x, p, acc, y = gaussian_records(n, seed=4)
+        recs = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y)
+        with tempfile.TemporaryDirectory() as tmp:
+            tracemalloc.start()
+            try:
+                export_records(recs, str(Path(tmp) / "peak.txt"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 << 20, f"peak {peak / 2**20:.2f} MB"
+
     def test_column_validation(self):
         with pytest.raises(DomainError):
             ExperimentRecords(
                 x_a=np.zeros(3), p_a=np.zeros(3),
                 accepted=np.zeros(2, dtype=bool), x_b=np.zeros(3),
             )
+
+
+def reference_export_records(records, path):
+    """export_records as it stood before the NumPy formatter, verbatim."""
+    if str(path).endswith(".gz"):
+        fh = gzip.open(path, "wt", compresslevel=1)
+    else:
+        fh = open(path, "w")
+    n = len(records)
+    with fh:
+        fh.write("# columns=x_a p_a accepted x_b\n")
+        fh.write(f"# n_samples={n}\n")
+        for lo in range(0, n, 1 << 12):
+            cols = [col[lo:lo + (1 << 12)].tolist() for col in
+                    (records.x_a, records.p_a, records.accepted, records.x_b)]
+            # one % over the whole chunk, row-major values
+            fh.write("%.17g %.17g %d %.17g\n" * len(cols[0])
+                     % tuple(chain.from_iterable(zip(*cols))))
+
+
+def gaussian_records(n, seed):
+    rng = np.random.default_rng(seed)
+    x, p, y = rng.normal(0.0, 3.0, (3, n))
+    return x, p, rng.random(n) < 0.3, y
+
+
+def assert_exports_like_reference(recs, tmp_path):
+    want_path = tmp_path / "want.txt"
+    reference_export_records(recs, str(want_path))
+    want = want_path.read_bytes()
+    for name, read in (("got.txt", Path.read_bytes),
+                       ("got.txt.gz", lambda p: gzip.decompress(p.read_bytes()))):
+        path = tmp_path / name
+        export_records(recs, str(path))
+        assert read(path) == want, name
+
+
+# values the NumPy formatter leaves to %: zeros, subnormals, non-finite
+# values and those %g prints with an exponent
+FALLBACK_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan,
+                   9.9999999999999991e-05, -1e-5, 1e16, 1e300]
+
+
+class TestExportMatchesReference:
+    @pytest.mark.parametrize("n", [1, _IO_CHUNK - 1, _IO_CHUNK, _IO_CHUNK + 1,
+                                   3 * _IO_CHUNK + 17])
+    def test_gaussian_rows(self, n, tmp_path):
+        x, p, acc, y = gaussian_records(n, seed=n)
+        assert_exports_like_reference(
+            ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y), tmp_path)
+
+    def test_fallback_rows_first_last_and_at_chunk_edges(self, tmp_path):
+        n = 3 * _IO_CHUNK + 17
+        x, p, acc, y = gaussian_records(n, seed=5)
+        rows = [0, 1, _IO_CHUNK - 1, _IO_CHUNK, 2 * _IO_CHUNK - 1, 2 * _IO_CHUNK,
+                3 * _IO_CHUNK, n - 2, n - 1]
+        for i, row in enumerate(rows):
+            col = (x, p, y)[i % 3]
+            col[row] = FALLBACK_VALUES[i % len(FALLBACK_VALUES)]
+        # a whole chunk's edge of fallback rows, and one row of nothing else
+        x[_IO_CHUNK - 3:_IO_CHUNK + 3] = 0.0
+        x[7], p[7], y[7] = math.nan, -0.0, 1e300
+        assert_exports_like_reference(
+            ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y), tmp_path)
+
+    def test_k1_run_over_two_chunks(self, tmp_path):
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        recs = run_experiment(src, ChannelSpec(t_c=0.1, epsilon=0.01), (1 << 20) + 5,
+                              seed=10).records
+        assert_exports_like_reference(recs, tmp_path)
 
 
 def test_reductions_do_not_depend_on_blas_threads():

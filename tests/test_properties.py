@@ -17,6 +17,10 @@ Over random (v, t, k, eta_d, distance, epsilon):
 - the in-place, block-wise acceptance filter gives, bit for bit, the
   whole-array filter_q and a verbatim copy of its formula, on outcomes
   from signed zeros to overflowing squares, and scalars stay floats.
+- the record formatter prints the bytes of "%.17g" for any float: signed
+  zeros, subnormals, inf, nan and huge values, every double within 2000
+  ulps of a power of ten in its fixed-notation range, and binary fractions
+  that are exact decimal ties at 17 digits.
 
 Regression tests check that a single out-of-range or non-physical element
 of a batch still raises: vectorisation drops no check.
@@ -24,6 +28,7 @@ of a batch still raises: vectorisation drops no check.
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -41,7 +46,7 @@ from psqkd.gaussian import (
     key_rate_homodyne,
     symplectic_eigenvalues,
 )
-from psqkd.montecarlo import collect_accepted_pairs
+from psqkd.montecarlo import _format_rows, collect_accepted_pairs
 from psqkd.subtraction import (
     SourceSpec,
     _filter_into,
@@ -240,6 +245,59 @@ def test_filter_into_equals_filter_q_bit_for_bit(src, t, xs, ps, seed, block):
     for one, ref in scalars:
         assert type(one) is float
         assert one.hex() == ref.hex()
+
+
+def percent_rows(x_a, p_a, accepted, x_b):
+    return "".join("%.17g %.17g %d %.17g\n" % row for row in
+                   zip(x_a.tolist(), p_a.tolist(), accepted.tolist(), x_b.tolist())).encode()
+
+
+def assert_prints_percent_17g(values):
+    # every value in each float column, with the verdicts alternating; rows
+    # go in 4096 at a time, as export_records passes them in chunks
+    v = np.asarray(values, dtype=float)
+    acc = np.arange(v.size) % 2 == 1
+    cols = (v, -v[::-1], acc, v[::-1].copy())
+    for lo in range(0, v.size, 4096):
+        chunk = [col[lo:lo + 4096] for col in cols]
+        assert _format_rows(*chunk) == percent_rows(*chunk)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 2.5e-310, math.inf,
+                  -math.inf, math.nan, 1e300, -1e300, 9.9999999999999991e-05, 1e-4,
+                  1e16, 9999999999999998.0, 1.7976931348623157e308]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+                       min_size=1, max_size=64))
+def test_record_formatter_prints_percent_17g(values):
+    assert_prints_percent_17g(values)
+
+
+def test_record_formatter_near_powers_of_ten():
+    # log10 can put the decimal exponent one off here
+    ulps = np.arange(-2000, 2001)
+    values = np.concatenate([(np.float64(10.0 ** e).view(np.int64) + ulps).view(np.float64)
+                             for e in range(-4, 16)])
+    assert_prints_percent_17g(np.concatenate([values, -values]))
+
+
+def test_record_formatter_rounds_decimal_ties_to_even():
+    # n / 2^s with n odd has exactly s decimal places ending in 5, so in
+    # [10^(17-s), 10^(18-s)) it has 18 significant digits: a tie at 17
+    rng = np.random.default_rng(17)
+    values = []
+    for s in range(3, 22):
+        lo = -(-(2**s * 10**17) // 10**s)
+        hi = 2**s * 10**18 // 10**s
+        n = rng.integers(lo, hi, 500) | 1
+        values.append(n / 2.0**s)
+    values = np.concatenate(values)
+    for v in values.tolist():
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, v
+    assert_prints_percent_17g(np.concatenate([values, -values]))
 
 
 @ORACLE
