@@ -20,7 +20,6 @@ from .multidim import (
 from .rotation import (
     OCTONION_BASIS,
     apply_rotation,
-    frame,
     rotation_coefficients,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "decode",
     "decode_syndrome",
     "encode_side_info",
-    "frame",
     "gaussian_pairs",
     "llr_scale",
     "load_alist",

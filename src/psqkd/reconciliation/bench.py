@@ -78,7 +78,7 @@ def gaussian_pairs(snr: float, n_pairs: int, seed: int):
 def accepted_pairs(records: ExperimentRecords):
     """Correlated (sender, receiver) pairs from the accepted records."""
     mask = records.accepted
-    return records.x_a[mask].copy(), records.x_b[mask].copy()
+    return records.x_a[mask], records.x_b[mask]
 
 
 def matched_channel(src: SourceSpec, snr: float, epsilon: float) -> ChannelSpec:

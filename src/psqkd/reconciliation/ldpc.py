@@ -11,19 +11,18 @@ other's.
 
 Construction follows progressive-edge-growth reduced to what scales: each
 new edge avoids the variable's distance-2 neighbourhood, so the graph has
-no 4-cycles but no longer cycles are kept out.  The minimum-degree check is
-found through a lazy-deletion heap of packed (degree, tiebreak, index)
-integers rather than a rescan.  Check rows live in one flat list of Python
-ints, and each variable's neighbourhood is a set grown by one row per
-placed edge, so an edge costs a few slices and set operations.
+no 4-cycles but no longer cycles are kept out.  Edges take the checks of
+the lowest degree level in one sorted order unless a conflict intervenes,
+so the build sorts once per level, assigns runs of edges from that order
+at once and finds each run's first conflict in NumPy; only a conflicting
+edge walks the check order one check at a time.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import gzip
-import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +112,9 @@ class LdpcCode:
         if edge_chk.min() < 0 or edge_chk.max() >= m:
             raise DomainError("check index out of range")
         pairs = edge_chk.astype(np.int64) * n + edge_var
-        order = np.argsort(pairs, kind="stable")
+        # twins are equal in both endpoints, so their order is immaterial
+        # and the sort need not be stable
+        order = np.argsort(pairs)
         pairs = pairs[order]
         # a repeated edge sorts next to its twin
         if (pairs[1:] == pairs[:-1]).any():
@@ -216,6 +217,93 @@ def _degree_sequence(n: int, profile: dict) -> np.ndarray:
     return np.repeat(np.array(degs, dtype=np.int32), counts)
 
 
+class _CheckQueue:
+    """Checks in (degree, key, index) order, the order the edges take them.
+
+    The checks of the open level d sit in one array sorted by (key, index),
+    level[at:].  A check taken from it moves to degree d + 1 and waits
+    unsorted: the next level is sorted once, when this one closes.  The
+    other checks of degree <= d, the ones skipped for a conflict and the
+    stragglers of a closed level, wait in a short sorted list of packed
+    (degree << 44) | (key << 24) | index ints, which merges with the level.
+    """
+
+    def __init__(self, key):
+        self.key = key
+        self.deg = np.zeros(key.size, dtype=np.int64)
+        self.d = -1
+        self.level = np.empty(0, dtype=np.int64)
+        self.at = 0
+        self.waiting = []
+
+    def _close(self) -> bool:
+        """Open the lowest level above d; False if no check is above d."""
+        above = self.deg[self.deg > self.d]
+        if not above.size:
+            return False
+        self.d = int(above.min())
+        cs = np.flatnonzero(self.deg == self.d)
+        self.level = np.sort((self.key[cs] << 24) | cs)
+        self.at = 0
+        return True
+
+    def run(self, limit: int) -> np.ndarray:
+        """The next checks in order, up to limit, while they all come from
+        the level: none if a waiting check is due first."""
+        if self.waiting:
+            return self.level[:0]
+        if self.at == self.level.size:
+            self._close()  # every check is above d, as none waits
+        return self.level[self.at:self.at + limit] & 0xFFFFFF
+
+    def take(self, cs, keys):
+        """Move the first cs.size checks of the level up one degree."""
+        self.deg[cs] += 1
+        self.key[cs] = keys
+        self.at += cs.size
+
+    def first(self, blocked):
+        """The first check in order that is not blocked, or None if every
+        check is; the blocked ones keep their places."""
+        waiting = self.waiting
+        i = 0
+        while True:
+            head = None
+            if self.at < self.level.size:
+                head = (self.d << 44) | int(self.level[self.at])
+            if i < len(waiting) and (head is None or waiting[i] < head):
+                packed = waiting[i]
+            elif head is not None:
+                # the level's head leaves the level: it waits unless taken
+                packed = head
+                self.at += 1
+                waiting.insert(i, packed)
+            elif self._close():
+                continue
+            else:
+                return None
+            if not blocked(packed & 0xFFFFFF):
+                return packed & 0xFFFFFF
+            i += 1
+
+    def advance(self, c: int, key: int):
+        """Move check c up one degree with a new key."""
+        d = int(self.deg[c])
+        packed = (d << 44) | (int(self.key[c]) << 24) | c
+        i = bisect.bisect_left(self.waiting, packed)
+        if i < len(self.waiting) and self.waiting[i] == packed:
+            del self.waiting[i]
+        elif d == self.d:
+            # only the fallback takes a check from inside the level; it
+            # already costs a pass over every check
+            self.level = np.delete(self.level, self.at + np.searchsorted(
+                self.level[self.at:], packed & ((1 << 44) - 1)))
+        self.deg[c] = d + 1
+        self.key[c] = key
+        if d + 1 <= self.d:
+            bisect.insort(self.waiting, ((d + 1) << 44) | (key << 24) | c)
+
+
 def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
     """Progressive-edge-growth construction of an irregular code.
 
@@ -226,14 +314,18 @@ def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
     sharing one with it.  That excludes 4-cycles and nothing longer.  When
     the neighbourhood covers every check, the edge falls back to the
     minimum among the checks first reached at distance 2 (the variable's
-    own checks if there are none).  Candidates come from a lazy-deletion
-    heap.  Deterministic for a given seed (ties broken by pre-drawn random
-    keys).
+    own checks if there are none).  A chosen check draws a fresh random
+    tiebreak, one per edge, so the build is deterministic for a given seed.
 
-    The check rows are slices of one flat list of m * width Python ints,
-    width doubling when a row fills; a variable's neighbourhood is built
-    once and grows by the chosen check's row after each of its edges, as
-    nothing else is placed in between.
+    The order of the checks within one degree level is fixed when the level
+    opens, so one sort per level gives the choices of every edge that meets
+    no conflict.  Runs of edges take their checks from that order at once,
+    and each run is searched in NumPy for its first conflict: an edge whose
+    check, through a variable placed before it, already neighbours one of
+    its variable's earlier checks, or is one of them.  The edges before it
+    stand.  The conflicting edge walks the order check by check: the checks
+    it skips wait first in line for the next edge, a level that runs dry
+    opens the next one, and the fallback applies when no check is left.
     """
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got n={n} m={m}")
@@ -242,78 +334,101 @@ def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
     if n_edges < 2 * m:
         raise DomainError("profile leaves checks with fewer than two edges on average")
     if m >= (1 << 24):
+        # the check order packs the index into 24 bits
         raise DomainError("check count exceeds the 24-bit heap packing")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # one key per check, then one fresh key per placed edge, in edge order
-    tiebreak = memoryview(rng.integers(0, 1 << 20, size=m, dtype=np.int64))
-    fresh = iter(memoryview(rng.integers(0, 1 << 20, size=n_edges, dtype=np.int64)))
+    queue = _CheckQueue(rng.integers(0, 1 << 20, size=m, dtype=np.int64))
+    fresh = rng.integers(0, 1 << 20, size=n_edges, dtype=np.int64)
 
-    # heap entries pack (degree << 44) | (tiebreak << 24) | check; an entry
-    # is stale once the check's degree moved on, and each degree change
-    # enters a fresh entry, so exactly one live entry exists per check and
-    # no two entries are equal
-    heap = [(t << 24) | c for c, t in enumerate(tiebreak)]
-    heapq.heapify(heap)
+    # below, variables go by their rank in placement order, and edge e is
+    # the e-th placed: rank r owns edges start[r]:start[r + 1]
+    order = np.argsort(degrees, kind="stable")
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees[order], out=start[1:])
+    edge_rank = np.repeat(np.arange(n, dtype=np.int32), degrees[order])
+    # each edge pairs with every earlier edge of its variable, the nearest
+    # first, so the pairs of a run of edges are one slice
+    earlier = np.arange(n_edges) - start[edge_rank]
+    pair_ptr = np.zeros(n_edges + 1, dtype=np.int64)
+    np.cumsum(earlier, out=pair_ptr[1:])
+    pair_edge = np.repeat(np.arange(n_edges, dtype=np.int32), earlier)
+    pair_prev = pair_edge - 1 - (np.arange(pair_ptr[-1]) - pair_ptr[pair_edge])
+    del earlier
 
-    # variable v's checks fill var_chks[start[v]:start[v + 1]] in placement
-    # order; check c's variables fill rows[c * width:c * width + chk_deg[c]],
-    # one flat list of Python ints, so a row is read by one slice
-    start = np.concatenate(([0], np.cumsum(degrees, dtype=np.int64))).tolist()
-    var_chks = np.empty(n_edges, dtype=np.int32)
-    var_mv = memoryview(var_chks)
-    width = max(4, int(math.ceil(n_edges / m)) + 4)
-    rows = [0] * (m * width)
-    chk_deg = [0] * m
+    # chk[e] is the check of edge e; rows[j, c] the rank of check c's j-th
+    # variable, -1 past its degree, with one row added per new position
+    chk = np.empty(n_edges, dtype=np.int32)
+    rows = np.full((0, m), -1, dtype=np.int32)
+    deg = queue.deg
 
-    for v in np.argsort(degrees, kind="stable").tolist():
-        # adj holds the variables sharing a check with v, v included: a
-        # check is within distance 2 of v exactly when its row meets adj,
-        # which also rules out v's own checks
-        adj = set()
-        for pos in range(start[v], start[v + 1]):
-            stash = []
-            while heap:
-                packed = heap[0]
-                c = packed & 0xFFFFFF
-                d = chk_deg[c]
-                if packed >> 44 != d:
-                    heapq.heappop(heap)  # stale entry
-                elif adj.isdisjoint(rows[c * width:c * width + d]):
-                    break
-                else:
-                    stash.append(heapq.heappop(heap))
-            else:
-                own = var_mv[start[v]:pos].tolist()
-                if not own:
-                    raise DomainError("no placeable check; graph parameters inconsistent")
-                # every other variable in adj is placed in full
-                near = set().union(*(var_mv[start[u]:start[u + 1]] for u in adj if u != v))
-                last = sorted(near.difference(own)) or own
-                c = min(last, key=lambda c: (chk_deg[c] << 20) | tiebreak[c])
-                d = chk_deg[c]
-            t = next(fresh)
-            tiebreak[c] = t
-            # the chosen check's live entry is on top, unless the heap ran
-            # dry; the keys are unique, so the order of later pops depends
-            # only on which keys the heap holds
-            if heap:
-                heapq.heapreplace(heap, ((d + 1) << 44) | (t << 24) | c)
-            else:
-                heapq.heappush(heap, ((d + 1) << 44) | (t << 24) | c)
-            for packed in stash:
-                heapq.heappush(heap, packed)
-            if d >= width:
-                grown = [0] * (2 * m * width)
-                for r in range(m):
-                    grown[2 * r * width:(2 * r + 1) * width] = rows[r * width:(r + 1) * width]
-                rows = grown
-                width *= 2
-            row = c * width
-            rows[row + d] = v
-            chk_deg[c] = d + 1
-            var_mv[pos] = c
-            adj.update(rows[row:row + d + 1])
+    def place(j, cs, ranks):
+        nonlocal rows
+        if j == rows.shape[0]:
+            rows = np.vstack((rows, np.full(m, -1, dtype=np.int32)))
+        rows[j, cs] = ranks
 
+    def place_one(e):
+        """Edge e by a scan of the check order, or by the fallback."""
+        r = int(edge_rank[e])
+        own = chk[start[r]:e]
+        # the other variables on r's checks, and every check of theirs:
+        # with r's own, the checks within distance 2 of r
+        adj = np.unique(rows.take(own, axis=1))
+        adj = adj[(adj >= 0) & (adj != r)]
+        size = start[adj + 1] - start[adj]
+        edges = np.repeat(start[adj] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        near = np.unique(np.concatenate((chk[edges], own)))
+        # when near is every check, a scan would find none
+        c = queue.first(set(near.tolist()).__contains__) if near.size < m else None
+        if c is None:
+            if not own.size:
+                raise DomainError("no placeable check; graph parameters inconsistent")
+            last = np.setdiff1d(near, own, assume_unique=True)
+            if not last.size:
+                last = own
+            c = int(last[np.argmin((deg[last] << 20) | queue.key[last])])
+        place(int(deg[c]), c, r)
+        chk[e] = c
+        queue.advance(c, int(fresh[e]))
+
+    width = 64
+    e = 0
+    while e < n_edges:
+        cs = queue.run(min(width, n_edges - e))
+        stop = e + cs.size
+        chk[e:stop] = cs
+        d = queue.d
+        lo, hi = pair_ptr[e], pair_ptr[stop]
+        # at level 0 no check has a variable yet, so nothing can conflict
+        if d and hi > lo:
+            # the pairs (a later edge's check, an earlier edge's check) of
+            # one variable: a conflict when the two rows share a variable.
+            # Rows as they stood before the run hold only ranks up to the
+            # run's first, and a later check's row holds its own rank only
+            # if the check is already its variable's, itself a conflict
+            later = rows[:d].take(cs[pair_edge[lo:hi] - e], axis=1)
+            prior = rows.take(chk[pair_prev[lo:hi]], axis=1)
+            hit = (later[:, None] == prior[None]).any(axis=(0, 1))
+            if hit.any():
+                stop = int(pair_edge[lo + int(hit.argmax())])
+        if stop > e:
+            place(d, cs[:stop - e], edge_rank[e:stop])
+            queue.take(cs[:stop - e], fresh[e:stop])
+        if cs.size and stop == e + cs.size:
+            width = min(2 * width, 1 << 14)
+            e = stop
+            continue
+        # edge stop conflicts, or a waiting check is due first
+        width = max(64, width // 2)
+        place_one(stop)
+        e = stop + 1
+
+    # back to variable order: variable v's edges begin at start[rank of v]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    var_start = np.cumsum(degrees) - degrees
+    var_chks = chk[np.repeat(start[rank] - var_start, degrees) + np.arange(n_edges)]
     return LdpcCode._from_var_major(n, m, degrees, var_chks)
 
 

@@ -8,7 +8,8 @@ expanding y in the frame of x makes M x = y exact, and the coefficients
 have unit norm, which makes M orthogonal.
 
 The basis is generated at import by Cayley-Dickson doubling from the reals;
-A_1 is the identity.
+A_1 is the identity.  Each A_i w is applied as what it is, a signed
+permutation of w's entries, so no (..., 8, 8) frame is ever formed.
 """
 
 from __future__ import annotations
@@ -65,10 +66,15 @@ def _octonion_basis() -> np.ndarray:
 OCTONION_BASIS = _octonion_basis()
 
 
-def frame(w) -> np.ndarray:
-    """Images A_i w of the basis matrices, shape (..., 8, 8), [..., i, :]."""
-    w = np.asarray(w, dtype=float)
-    return np.einsum("ikj,...j->...ik", OCTONION_BASIS, w)
+# (A_i w)_k = _SIGN[i, k] * w[_PERM[i, k]]: the one nonzero of each row
+_PERM = np.abs(OCTONION_BASIS).argmax(axis=2)
+_SIGN = np.take_along_axis(OCTONION_BASIS, _PERM[..., None], axis=2)[..., 0]
+
+
+def _image(w, i):
+    """A_i w over the last axis, C-contiguous: take keeps that layout, where
+    indexing by _PERM[i] would transpose it."""
+    return w.take(_PERM[i], axis=-1) * _SIGN[i]
 
 
 def rotation_coefficients(src_unit, dst_unit) -> np.ndarray:
@@ -78,10 +84,24 @@ def rotation_coefficients(src_unit, dst_unit) -> np.ndarray:
     src the frame is orthonormal, so sum_i alpha_i A_i maps src to dst
     exactly and is orthogonal.
     """
-    return np.einsum("...ik,...k->...i", frame(src_unit), np.asarray(dst_unit, dtype=float))
+    src = np.asarray(src_unit, dtype=float)
+    dst = np.asarray(dst_unit, dtype=float)
+    shape = np.broadcast_shapes(src.shape, dst.shape)
+    src = np.broadcast_to(src, shape).reshape(-1, 8)
+    dst = np.broadcast_to(dst, shape).reshape(-1, 8)
+    alpha = np.empty(src.shape)
+    for i in range(8):
+        # over C-contiguous (n, 8) operands einsum sums in the order of the
+        # whole-frame product, so alpha is that product's bit for bit
+        alpha[:, i] = np.einsum("nk,nk->n", _image(src, i), dst)
+    return alpha.reshape(shape)
 
 
 def apply_rotation(alpha, w) -> np.ndarray:
     """Apply M = sum_i alpha_i A_i to w, vectorized over leading axes."""
-    return np.einsum("...i,...ik->...k", np.asarray(alpha, dtype=float), frame(w))
-
+    alpha = np.asarray(alpha, dtype=float)
+    w = np.asarray(w, dtype=float)
+    out = alpha[..., 0:1] * _image(w, 0)
+    for i in range(1, 8):
+        out += alpha[..., i:i + 1] * _image(w, i)
+    return out

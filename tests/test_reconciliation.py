@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from psqkd.analysis import beta_from_rate_snr
 from psqkd.cli import PEG_PROFILE
 from psqkd.errors import DegenerateBlockError, DomainError
-from psqkd.montecarlo import collect_accepted_pairs, run_experiment
+from psqkd.montecarlo import ExperimentRecords, collect_accepted_pairs, run_experiment
 from psqkd.reconciliation import (
     OCTONION_BASIS,
     accepted_pairs,
@@ -22,7 +22,6 @@ from psqkd.reconciliation import (
     decode,
     decode_syndrome,
     encode_side_info,
-    frame,
     gaussian_pairs,
     llr_scale,
     load_alist,
@@ -50,6 +49,13 @@ def code2048():
     return peg_construct(2048, 1843, PROFILE, seed=42)
 
 
+def frame(w) -> np.ndarray:
+    """Images A_i w of the basis matrices, shape (..., 8, 8), [..., i, :]:
+    the whole frame, which the rotations must reproduce bit for bit."""
+    w = np.asarray(w, dtype=float)
+    return np.einsum("ikj,...j->...ik", OCTONION_BASIS, w)
+
+
 class TestRotationBasis:
     def test_sign_permutation_structure(self):
         assert OCTONION_BASIS.shape == (8, 8, 8)
@@ -68,6 +74,18 @@ class TestRotationBasis:
             u /= np.linalg.norm(u)
             f = frame(u)
             assert np.abs(f @ f.T - np.eye(8)).max() < 1e-12
+
+    # 512 and 8192 blocks are the protocol and reconcile benches' block counts
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (512, 8), (8192, 8)])
+    def test_rotation_matches_frame_products(self, shape):
+        rng = np.random.default_rng(40)
+        x, y, w = (rng.standard_normal(shape) for _ in range(3))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        y /= np.linalg.norm(y, axis=-1, keepdims=True)
+        alpha = rotation_coefficients(x, y)
+        assert np.array_equal(alpha, np.einsum("...ik,...k->...i", frame(x), y))
+        assert np.array_equal(apply_rotation(alpha, w),
+                              np.einsum("...i,...ik->...k", alpha, frame(w)))
 
 
 def unit_coefficients(x, y):
@@ -449,6 +467,18 @@ class TestBench:
         assert rep.blocks_total == 5
         assert rep.snr_measured == pytest.approx(0.5, rel=0.1)
 
+    def test_accepted_pairs_share_no_memory_with_records(self):
+        rng = np.random.default_rng(28)
+        x_a, p_a, x_b = rng.standard_normal((3, 100))
+        for accepted in (rng.random(100) < 0.5, np.ones(100, dtype=bool)):
+            records = ExperimentRecords(x_a=x_a, p_a=p_a, accepted=accepted, x_b=x_b)
+            xa, xb = accepted_pairs(records)
+            assert np.array_equal(xa, x_a[accepted])
+            assert np.array_equal(xb, x_b[accepted])
+            assert not np.shares_memory(xa, records.x_a)
+            assert not np.shares_memory(xb, records.x_b)
+            xa[:] = 0.0  # the caller's own arrays, writeable
+
     def test_matched_channel_algebra(self):
         src = SourceSpec.k_photon(20.0, 0.8, 1)
         for snr, eps in ((0.1626, 0.01), (0.5, 0.0), (0.0301, 0.05)):
@@ -658,12 +688,18 @@ def construction(build, n, m, profile, seed):
     return code.edge_var.tolist(), code.edge_chk.tolist(), code.check_ptr.tolist()
 
 
-# graphs that stash many heap entries or fall back when every check is near
+# graphs that skip many checks or fall back when every check is near.  The
+# three with 1000 variables cross degree levels with hundreds of conflicts
+# in the bulk runs, and run a level dry so that an edge takes the next
+# level's check; the last falls back some hundred times
 CROWDED_CASES = [
     (200, 100, {2: 0.5, 8: 0.5}, 9),
     (30, 12, {3: 1.0}, 0),
     (16, 8, {3: 0.5, 5: 0.5}, 4),
     (20, 8, {4: 1.0}, 1),
+    (1000, 900, {2: 0.5, 8: 0.5}, 1),
+    (1000, 180, {3: 1.0}, 1),
+    (1000, 100, {2: 0.95, 10: 0.05}, 2),
 ]
 PEG_CASES = [
     (512, 461, PROFILE, 11),     # tests, CLI tests
@@ -681,8 +717,11 @@ def test_peg_matches_reference(n, m, profile, seed):
 
 @st.composite
 def peg_parameters(draw):
-    n = draw(st.integers(4, 48))
-    m = draw(st.integers(max(2, n // 4), n - 1))
+    # graphs past ~50 variables keep m within 48 of n: sparse enough that
+    # long runs go in bulk between conflicts, and that the reference, which
+    # scans every check near a crowded variable, stays quick
+    n = draw(st.integers(4, 400))
+    m = draw(st.integers(max(2, n // 4, n - 48), n - 1))
     low = draw(st.integers(2, 9))
     high = draw(st.integers(low, 12))
     frac = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
