@@ -118,6 +118,11 @@ def _rates(src: SourceSpec, ch: ChannelSpec, beta: float):
     return evaluate
 
 
+def _channel_shape(ch: ChannelSpec) -> tuple:
+    """() for one channel, (n,) for a distance axis."""
+    return np.broadcast_shapes(np.shape(ch.t_c), np.shape(ch.epsilon))
+
+
 def _at(values, i):
     """values[i] along the first axis, for an index i per element of the rest."""
     return np.take_along_axis(values, np.expand_dims(i, 0), 0)[0]
@@ -127,14 +132,22 @@ def _band_edges(rate_fn, t_opt, bounds, targets) -> np.ndarray:
     """Bisect for each rate crossing between t_opt and bounds[i] at targets[i].
 
     All edges of all channels are bisected together, one array evaluation
-    per step.  If the rate never drops below the target before the grid
-    bound, that band is truncated there.
+    per step, for at most 60 steps.  If the rate never drops below the
+    target before the grid bound, that band is truncated there, and its
+    bisection is discarded; when every band is truncated none is run.  A
+    step that leaves every untruncated bracket as it was would be repeated
+    by each later step, so the bisection stops there.
     """
     truncated = rate_fn(bounds) >= targets
+    if np.all(truncated):
+        return bounds
     lo, hi = np.broadcast_to(t_opt, bounds.shape), bounds
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         above = rate_fn(mid) >= targets
+        # taps are positive and finite, so == compares their bits
+        if np.all(truncated | (mid == np.where(above, lo, hi))):
+            break
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return np.where(truncated, bounds, 0.5 * (lo + hi))
@@ -153,7 +166,7 @@ def optimize_t(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
     record's fields are arrays of shape (n,).
     """
     evaluate = _rates(src, ch, beta)
-    shape = np.broadcast_shapes(np.shape(ch.t_c), np.shape(ch.epsilon))
+    shape = _channel_shape(ch)
     lo, hi = np.full(shape, t_grid.lo), np.full(shape, t_grid.hi)
     t_opt, rate_opt, p_opt = lo, np.full(shape, -np.inf), np.full(shape, np.nan)
     for _ in range(t_grid.refinements + 1):
@@ -286,12 +299,17 @@ def max_distance(src: SourceSpec, beta: float = DEFAULT_BETA,
 
 def landscape(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
               t_grid: TGrid = TGrid()) -> tuple[np.ndarray, np.ndarray, OptimumRecord]:
-    """Key rate over the tap grid at one channel, plus the optimum and bands.
+    """Key rate over the tap grid, plus the optimum and bands.
 
-    Returns (t_grid.points(), rates there, optimize_t's record).  Scheme
-    "none" ignores the tap, so its rates are flat in t.
+    Returns (taps, rates there, optimize_t's record).  For a channel of
+    shape S (() for one channel, (n,) for a distance axis, as optimize_t
+    takes), taps and rates have shape (t_grid.count,) + S, each column
+    holding t_grid.points(), and the record's fields have shape S; every
+    distance gets the values of its own scalar call.  Scheme "none" ignores
+    the tap, so its rates are flat in t.
     """
-    pts = t_grid.points()
+    shape = _channel_shape(ch)
+    pts = t_grid.points(np.full(shape, t_grid.lo), np.full(shape, t_grid.hi))
     return pts, _rates(src, ch, beta)(pts)[0], optimize_t(src, ch, beta, t_grid)
 
 

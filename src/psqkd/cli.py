@@ -20,7 +20,6 @@ import io
 import json
 import math
 import os
-import secrets
 import sys
 
 import numpy as np
@@ -241,6 +240,11 @@ def _add_channel(p: argparse.ArgumentParser) -> None:
                    help="excess noise at the channel input")
 
 
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (auto-generated and recorded when omitted)")
+
+
 def _add_distance_grid(p: argparse.ArgumentParser, lo, hi, step) -> None:
     p.add_argument("--d-lo", type=float, default=lo, help="first distance in km")
     p.add_argument("--d-hi", type=float, default=hi, help="last distance in km")
@@ -303,8 +307,11 @@ def _columns(label, distances, *columns) -> list[list]:
 
 
 def _resolve_seed(args) -> int:
-    # randomized commands record the seed they actually used
-    return args.seed if args.seed is not None else secrets.randbits(63)
+    # randomized commands record the seed they actually used: 63 bits from
+    # os.urandom, since the secrets module would import hashlib and OpenSSL
+    if args.seed is not None:
+        return args.seed
+    return int.from_bytes(os.urandom(8), "big") >> 1
 
 
 def _sigma(diff: float, se: float) -> float:
@@ -374,15 +381,15 @@ def _cmd_fig4(args) -> int:
     distances = _split_list(args.distances, "--distances", float)
     grid = TGrid(args.t_lo, args.t_hi, args.t_count, args.refinements)
     sources = [_scheme_source(lbl, args.v, 0.5, args.eta_d) for lbl in labels]
+    ch = ChannelSpec(distance_km=distances, loss_db_per_km=args.loss, epsilon=args.eps)
     surface, optima = [], []
     for lbl, src in zip(labels, sources):
-        for d in distances:
-            ch = ChannelSpec(distance_km=d, loss_db_per_km=args.loss, epsilon=args.eps)
-            pts, rates, rec = landscape(src, ch, args.beta, grid)
-            surface.extend([lbl, d, float(t), float(rate)] for t, rate in zip(pts, rates))
-            optima.append([lbl, rec.distance_km, rec.t_opt, rec.key_rate_opt,
-                           rec.success_prob_at_opt, rec.band_90[0], rec.band_90[1],
-                           rec.band_50[0], rec.band_50[1], rec.has_key])
+        pts, rates, rec = landscape(src, ch, args.beta, grid)
+        for d, ts, rs in zip(distances, pts.T.tolist(), rates.T.tolist()):
+            surface.extend([lbl, d, t, rate] for t, rate in zip(ts, rs))
+        optima.extend(_columns(lbl, distances, rec.t_opt, rec.key_rate_opt,
+                               rec.success_prob_at_opt, *rec.band_90, *rec.band_50,
+                               rec.has_key))
     params = _echo(args, ("schemes", "distances", "v", "eta_d", "t_lo", "t_hi",
                           "t_count", "refinements", "eps", "loss", "beta"))
     surface_cols = ["scheme", "distance_km", "t", "key_rate"]
@@ -559,30 +566,14 @@ def _cmd_beta(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly and entry point
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="psqkd",
-        description="Key rates, sweeps, simulations and reconciliation benches "
-                    "for photon-subtracted CV-QKD.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    subs = {}
-
-    def new(name, help_text, run, fmt="csv"):
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(_run=run, _parser=p)
-        _add_output(p, fmt)
-        subs[name] = p
-        return p
-
-    p = new("keyrate", "single key-rate evaluation through the full pipeline",
-            _cmd_keyrate, fmt="json")
+def _flags_keyrate(p: argparse.ArgumentParser) -> None:
     _add_source(p)
     _add_channel(p)
     p.add_argument("--beta", type=float, default=DEFAULT_BETA,
                    help="reconciliation efficiency")
 
-    p = new("fig2", "per-distance optimal tap, key rate and click probability",
-            _cmd_fig2)
+
+def _flags_fig2(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schemes", default="none,k1,k2",
                    help="comma list of none, on_off, k<count>")
     p.add_argument("--v", type=float, default=DEFAULT_V)
@@ -592,8 +583,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--loss", type=float, default=DEFAULT_LOSS_DB_PER_KM)
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
 
-    p = new("fig3", "largest excess noise with a positive rate, per distance",
-            _cmd_fig3)
+
+def _flags_fig3(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schemes", default="none,k1,k2")
     p.add_argument("--v", type=float, default=DEFAULT_V)
     p.add_argument("--t", type=float, default=0.8, help="tap transmittance")
@@ -602,8 +593,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--loss", type=float, default=DEFAULT_LOSS_DB_PER_KM)
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
 
-    p = new("fig4", "rate landscape over the tap, with optima and rate bands",
-            _cmd_fig4)
+
+def _flags_fig4(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schemes", default="k1")
     p.add_argument("--distances", default="50,100", help="comma list of km values")
     p.add_argument("--v", type=float, default=DEFAULT_V)
@@ -616,13 +607,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--loss", type=float, default=DEFAULT_LOSS_DB_PER_KM)
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
 
-    p = new("fig5", "click probability versus tap transmittance per count",
-            _cmd_fig5)
+
+def _flags_fig5(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v", type=float, default=DEFAULT_V)
     p.add_argument("--k-list", default="1,2,3,4", help="comma list of counts")
     p.add_argument("--t-count", type=int, default=400, help="grid points on (0, 1]")
 
-    p = new("fig6", "key rate versus distance for imperfect counters", _cmd_fig6)
+
+def _flags_fig6(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v", type=float, default=DEFAULT_V)
     p.add_argument("--t", type=float, default=0.8)
     p.add_argument("--k", type=int, default=1)
@@ -633,35 +625,33 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--loss", type=float, default=DEFAULT_LOSS_DB_PER_KM)
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
 
-    p = new("montecarlo", "sampled protocol rounds against analytic targets",
-            _cmd_montecarlo)
+
+def _flags_montecarlo(p: argparse.ArgumentParser) -> None:
     _add_source(p)
     _add_channel(p)
     p.add_argument("--n", type=int, default=1_000_000, help="protocol rounds")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (auto-generated and recorded when omitted)")
+    _add_seed(p)
     p.add_argument("--export", default=None,
                    help="also write the per-round records to this path")
 
-    p = new("rescale", "pump rescaling demo: reuse records at another tap "
-            "transmittance", _cmd_rescale)
+
+def _flags_rescale(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v", type=float, default=DEFAULT_V, help="source variance")
     p.add_argument("--t0", type=float, default=0.8, help="tap of the recorded run")
     p.add_argument("--eta", type=float, default=0.5, help="target tap transmittance")
     p.add_argument("--k", type=int, default=1, help="click count")
     _add_channel(p)
     p.add_argument("--n", type=int, default=1_000_000, help="protocol rounds")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (auto-generated and recorded when omitted)")
+    _add_seed(p)
 
-    p = new("oracle", "closed forms against the truncated number-basis oracle",
-            _cmd_oracle)
+
+def _flags_oracle(p: argparse.ArgumentParser) -> None:
     _add_source(p)
     p.add_argument("--cutoff", type=int, default=None,
                    help="photon-number truncation (default: variance-derived)")
 
-    p = new("bench", "reconciliation bench over Gaussian and postselected data",
-            _cmd_bench)
+
+def _flags_bench(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snr", type=float, default=0.1626, help="operating SNR")
     p.add_argument("--blocks", type=int, default=10, help="codewords per data type")
     p.add_argument("--code-n", type=int, default=2048,
@@ -679,23 +669,73 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (auto-generated and recorded when omitted)")
+    _add_seed(p)
 
-    p = new("beta", "reconciliation efficiency arithmetic at a working point",
-            _cmd_beta)
+
+def _flags_beta(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate", type=float, default=None, help="code rate")
     p.add_argument("--snr", type=float, default=None,
                    help="SNR; the implied efficiency is computed")
     p.add_argument("--beta", type=float, default=None,
                    help="efficiency; the implied SNR is computed")
 
+
+# name: (help, runner, default output format, flag block), in help order
+_COMMANDS = {
+    "keyrate": ("single key-rate evaluation through the full pipeline",
+                _cmd_keyrate, "json", _flags_keyrate),
+    "fig2": ("per-distance optimal tap, key rate and click probability",
+             _cmd_fig2, "csv", _flags_fig2),
+    "fig3": ("largest excess noise with a positive rate, per distance",
+             _cmd_fig3, "csv", _flags_fig3),
+    "fig4": ("rate landscape over the tap, with optima and rate bands",
+             _cmd_fig4, "csv", _flags_fig4),
+    "fig5": ("click probability versus tap transmittance per count",
+             _cmd_fig5, "csv", _flags_fig5),
+    "fig6": ("key rate versus distance for imperfect counters",
+             _cmd_fig6, "csv", _flags_fig6),
+    "montecarlo": ("sampled protocol rounds against analytic targets",
+                   _cmd_montecarlo, "csv", _flags_montecarlo),
+    "rescale": ("pump rescaling demo: reuse records at another tap transmittance",
+                _cmd_rescale, "csv", _flags_rescale),
+    "oracle": ("closed forms against the truncated number-basis oracle",
+               _cmd_oracle, "csv", _flags_oracle),
+    "bench": ("reconciliation bench over Gaussian and postselected data",
+              _cmd_bench, "csv", _flags_bench),
+    "beta": ("reconciliation efficiency arithmetic at a working point",
+             _cmd_beta, "csv", _flags_beta),
+}
+
+
+def build_parser(command: str | None = None
+                 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name.
+
+    Every subcommand is registered, so the command list, the top-level help
+    and argparse's errors are always complete.  Flags go on every
+    subcommand, or only on command when one is named: a run parses one
+    subcommand, and building every subcommand's flags takes about as long
+    as a small command's whole run.
+    """
+    parser = argparse.ArgumentParser(
+        prog="psqkd",
+        description="Key rates, sweeps, simulations and reconciliation benches "
+                    "for photon-subtracted CV-QKD.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    subs = {}
+    for name, (help_text, run, fmt, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(_run=run, _parser=p)
+        if command is None or command == name:
+            _add_output(p, fmt)
+            add_flags(p)
+        subs[name] = p
     return parser, subs
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subs = build_parser()
+    parser, subs = build_parser(argv[0] if argv else None)
     try:
         path = _config_path(argv)
         if path is not None and argv and argv[0] in subs:

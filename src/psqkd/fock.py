@@ -72,7 +72,7 @@ class FockState:
             raise DomainError("norm_defect must be >= 0")
         if not (0.0 < self.eta_d <= 1.0):
             raise DomainError(f"eta_d must lie in (0, 1], got {self.eta_d}")
-        if amp @ amp > 1.0 + 1e-9:
+        if np.einsum("i,i->", amp, amp) > 1.0 + 1e-9:
             raise InvalidStateError("squared amplitudes exceed unit norm")
         # read-only views: the caller's own arrays stay writeable, nothing is copied
         for name, arr in (("na", na), ("nb1", nb1), ("nb2", nb2), ("amp", amp)):

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from psqkd import analysis
 from psqkd.analysis import (
     OptimumRecord,
     TGrid,
@@ -43,6 +44,17 @@ TABLE_ROWS = [
 
 def channel(d, eps=0.01):
     return ChannelSpec(distance_km=d, loss_db_per_km=0.2, epsilon=eps)
+
+
+def hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def record_hex(rec):
+    """Every field of an optimum record, one list per field, floats as hex."""
+    floats = (rec.distance_km, rec.t_opt, rec.key_rate_opt, rec.success_prob_at_opt,
+              *rec.band_90, *rec.band_50)
+    return [hexes(v) for v in floats] + [np.ravel(rec.has_key).tolist()]
 
 
 class TestPipeline:
@@ -186,6 +198,63 @@ def test_array_optimizer_equals_scalar_loop(src):
             assert np.isnan(cells).all()
 
 
+def reference_band_edges(rate_fn, t_opt, bounds, targets) -> np.ndarray:
+    """_band_edges as it stood with a fixed 60 bisection steps, verbatim."""
+    truncated = rate_fn(bounds) >= targets
+    lo, hi = np.broadcast_to(t_opt, bounds.shape), bounds
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = rate_fn(mid) >= targets
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return np.where(truncated, bounds, 0.5 * (lo + hi))
+
+
+BAND_SOURCES = {
+    "k1": SourceSpec.k_photon(20.0, 0.5, 1),
+    "k2": SourceSpec.k_photon(20.0, 0.5, 2),
+    "on_off": SourceSpec.on_off(20.0, 0.5),
+    "k1_eta0.5": SourceSpec.k_photon(20.0, 0.5, 1, eta_d=0.5),
+    "none": SourceSpec.tmsv(20.0),
+}
+
+
+@pytest.mark.parametrize("label", list(BAND_SOURCES))
+@pytest.mark.parametrize("distance", [60.0, 150.0, np.linspace(0.0, 200.0, 41)],
+                         ids=["60km", "150km", "axis41"])
+def test_bands_equal_the_fixed_step_bisection(monkeypatch, label, distance):
+    # scheme none at 60 km truncates every band, so no bisection runs; at
+    # 150 km it has no key, and on the axis it has both kinds of cell
+    src, ch = BAND_SOURCES[label], channel(distance)
+    rec = optimize_t(src, ch, 0.95)
+    monkeypatch.setattr(analysis, "_band_edges", reference_band_edges)
+    assert record_hex(rec) == record_hex(optimize_t(src, ch, 0.95))
+
+
+def test_band_edges_skip_and_stop_once_fixed():
+    calls = []
+
+    def counted(rate):
+        def fn(t):
+            calls.append(np.shape(t))
+            return rate(t)
+        return fn
+
+    t_opt = np.array([0.5, 0.3])
+    bounds = np.multiply.outer([0.01, 0.995] * 2, np.ones(2))
+    targets = np.multiply.outer([0.9, 0.9, 0.5, 0.5], [1.0, 1.0])
+    flat = counted(lambda t: np.ones(np.shape(t)))
+    assert hexes(analysis._band_edges(flat, t_opt, bounds, targets)) == hexes(bounds)
+    assert len(calls) == 1
+
+    calls.clear()
+    peaked = counted(lambda t: 1.0 - 4.0 * (t - t_opt) ** 2)
+    found = analysis._band_edges(peaked, t_opt, bounds, targets)
+    # brackets reach adjacent doubles within 60 halvings, then stay fixed
+    assert len(calls) < 61
+    assert hexes(found) == hexes(reference_band_edges(peaked, t_opt, bounds, targets))
+
+
 class TestTolerableNoise:
     def test_lossless_channel_tolerates_noise(self):
         eps, alive = tolerable_excess_noise(SourceSpec.tmsv(20.0), 0.0)
@@ -279,6 +348,20 @@ class TestLandscape:
                 assert rec.distance_km == d
                 # without refinement the optimizer scans the same grid
                 assert rec.key_rate_opt == rates.max()
+
+    def test_distance_axis_equals_scalar_calls(self):
+        grid = TGrid(count=40, refinements=1)
+        distances = [0.0, 35.0, 60.0, 110.0, 170.0, 260.0]
+        for src in (SourceSpec.tmsv(20.0), SourceSpec.k_photon(20.0, 0.5, 1),
+                    SourceSpec.on_off(12.0, 0.5, eta_d=0.8)):
+            pts, rates, rec = landscape(src, channel(np.array(distances)), 0.95, grid)
+            assert pts.shape == rates.shape == (40, len(distances))
+            fields = record_hex(rec)
+            for i, d in enumerate(distances):
+                pts_d, rates_d, rec_d = landscape(src, channel(d), 0.95, grid)
+                assert hexes(pts[:, i]) == hexes(pts_d) == hexes(grid.points())
+                assert hexes(rates[:, i]) == hexes(rates_d)
+                assert [f[i] for f in fields] == [f[0] for f in record_hex(rec_d)]
 
     def test_none_surface_is_flat_in_t(self):
         _, rates, _ = landscape(SourceSpec.tmsv(20.0), channel(30.0),

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from psqkd import cli
 from psqkd.cli import build_parser, main, parse_config_lines, read_header_params
 from psqkd.errors import DomainError
 from psqkd.montecarlo import load_records
@@ -137,6 +138,27 @@ class TestConfigFiles:
                              "second.csv")
         assert second == first
 
+    def test_config_reaches_the_one_populated_subparser(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy(command=None):
+            built.append(build_parser(command))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta_list = 0.5\nd_hi = 10\nk = 2\nschemes = k1\n")
+        text = run_to_file(tmp_path, ["fig6", "--config", str(cfg), "--d-step", "5"])
+        params = read_header_params(text)
+        assert (params["eta_list"], params["d_hi"], params["k"]) == ("0.5", "10", "2")
+        assert "schemes" not in params
+        (_, subs), = built
+        assert subs["fig6"].get_default("d_hi") == 10.0
+        assert subs["fig6"].get_default("k") == 2
+        for name, p in subs.items():
+            if name != "fig6":
+                assert [action.dest for action in p._actions] == ["help"]
+
     def test_missing_config_file(self, tmp_path):
         assert main(["keyrate", "--config", str(tmp_path / "nope.cfg"),
                      "--dist", "10"]) == 1
@@ -202,6 +224,21 @@ class TestExitCodes:
 
     def test_oracle_needs_a_scheme(self):
         assert main(["oracle", "--v", "6"]) == 1
+
+
+def parser_actions(p):
+    return [(type(a), a.option_strings, a.dest, a.default, a.type, a.choices, a.nargs,
+             a.help) for a in p._actions]
+
+
+@pytest.mark.parametrize("command", sorted(build_parser()[1]))
+def test_one_command_parser_matches_the_full_one(command):
+    full_parser, full = build_parser()
+    parser, subs = build_parser(command)
+    assert list(subs) == list(full)
+    assert parser_actions(subs[command]) == parser_actions(full[command])
+    assert subs[command].format_help() == full[command].format_help()
+    assert parser.format_help() == full_parser.format_help()
 
 
 # small sizes for each subcommand that takes a counter efficiency

@@ -1,6 +1,9 @@
-"""The package imports only the standard library, NumPy and itself."""
+"""The package imports only the standard library, NumPy and itself, and
+its CLI does not pull in the standard library's hashing modules."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +27,15 @@ def test_package_imports_only_stdlib_and_numpy():
                for path in files for name in imported_modules(path)
                if name != "numpy" and name not in sys.stdlib_module_names}
     assert not foreign, sorted(foreign)
+
+
+def test_cli_import_loads_no_hashing_modules():
+    # the auto seed comes from os.urandom: secrets would load hashlib and
+    # OpenSSL's _hashlib, a few ms of every CLI start
+    code = ("import sys, psqkd.cli; "
+            "print(sorted({'secrets', 'hashlib', '_hashlib'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

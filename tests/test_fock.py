@@ -6,6 +6,11 @@ oracle against the independent analytic module.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,3 +333,35 @@ class TestPhotonNumberDist:
         pops = kept_mode_law(6.0, 0.8, 1, 100)
         expected = negative_binomial(6.0, 0.8, 1, range(101))
         np.testing.assert_allclose(pops, expected, atol=1e-10)
+
+
+def test_oracle_does_not_depend_on_blas_threads():
+    # a BLAS dot product of the ~2e4 amplitudes runs on several threads, and
+    # its last bits change with their number; the oracle's numbers must not
+    code = textwrap.dedent("""
+        from psqkd.cli import main
+        from psqkd.fock import (apply_detector_loss, build_split_tmsv,
+                                condition_on_count, suggested_cutoff)
+        from psqkd.subtraction import SourceSpec, covariance_subtracted
+        state = build_split_tmsv(20.0, 0.8, suggested_cutoff(20.0))
+        for src, count in ((SourceSpec.k_photon(20.0, 0.8, 1, 0.8), 1),
+                           (SourceSpec.k_photon(20.0, 0.8, 2, 0.5), 2),
+                           (SourceSpec.on_off(20.0, 0.8), "on_off")):
+            prob, cov = condition_on_count(apply_detector_loss(state, src.eta_d), count)
+            closed = covariance_subtracted(src)
+            for a, b in ((closed.success_prob, prob), (closed.cov.v1, cov.v1),
+                         (closed.cov.v2, cov.v2), (closed.cov.phi, cov.phi)):
+                print(a.hex(), b.hex(), abs(a - b).hex())
+        main(["oracle", "--k", "1", "--eta-d", "0.8"])
+        main(["oracle", "--on-off"])
+    """)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
