@@ -134,11 +134,12 @@ def _band_edges(rate_fn, t_opt, bounds, targets) -> np.ndarray:
     All edges of all channels are bisected together, one array evaluation
     per step, for at most 60 steps.  If the rate never drops below the
     target before the grid bound, that band is truncated there, and its
-    bisection is discarded; when every band is truncated none is run.  A
-    step that leaves every untruncated bracket as it was would be repeated
-    by each later step, so the bisection stops there.
+    bisection is discarded; a target of -inf (a channel without key) counts
+    as truncated too.  When every band is truncated none is run.  A step
+    that leaves every untruncated bracket as it was would be repeated by
+    each later step, so the bisection stops there.
     """
-    truncated = rate_fn(bounds) >= targets
+    truncated = (targets == -np.inf) | (rate_fn(bounds) >= targets)
     if np.all(truncated):
         return bounds
     lo, hi = np.broadcast_to(t_opt, bounds.shape), bounds
@@ -165,13 +166,23 @@ def optimize_t(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
     distance at once: each pass evaluates a (count, n) grid, and the
     record's fields are arrays of shape (n,).
     """
-    evaluate = _rates(src, ch, beta)
+    return _optimum(_rates(src, ch, beta), ch, t_grid, with_bands)
+
+
+def _optimum(evaluate, ch: ChannelSpec, t_grid: TGrid, with_bands: bool,
+             first=None) -> OptimumRecord:
+    """optimize_t for the rate function evaluate of _rates.
+
+    first, when given, is evaluate on the full grid t_grid.points() of
+    every channel, which is the first pass's grid, so it is not evaluated
+    again.
+    """
     shape = _channel_shape(ch)
     lo, hi = np.full(shape, t_grid.lo), np.full(shape, t_grid.hi)
     t_opt, rate_opt, p_opt = lo, np.full(shape, -np.inf), np.full(shape, np.nan)
-    for _ in range(t_grid.refinements + 1):
+    for step in range(t_grid.refinements + 1):
         pts = t_grid.points(lo, hi)
-        rates, probs = evaluate(pts)
+        rates, probs = first if step == 0 and first is not None else evaluate(pts)
         i = np.argmax(rates, axis=0)
         better = _at(rates, i) > rate_opt
         t_opt = np.where(better, _at(pts, i), t_opt)
@@ -185,7 +196,9 @@ def optimize_t(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
     if with_bands and np.any(has_key):
         # edges in the order (90% lo, 90% hi, 50% lo, 50% hi)
         bounds = np.multiply.outer([t_grid.lo, t_grid.hi] * 2, np.ones(shape))
-        targets = np.multiply.outer([0.9, 0.9, 0.5, 0.5], rate_opt)
+        # a channel without key gets no band: -inf marks it truncated
+        targets = np.where(has_key, np.multiply.outer([0.9, 0.9, 0.5, 0.5], rate_opt),
+                           -np.inf)
         found = _band_edges(lambda t: evaluate(t)[0], t_opt, bounds, targets)
         edges = np.where(has_key, found, np.nan)
     lo90, hi90, lo50, hi50 = (_plain(e) for e in edges)
@@ -310,7 +323,10 @@ def landscape(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
     """
     shape = _channel_shape(ch)
     pts = t_grid.points(np.full(shape, t_grid.lo), np.full(shape, t_grid.hi))
-    return pts, _rates(src, ch, beta)(pts)[0], optimize_t(src, ch, beta, t_grid)
+    evaluate = _rates(src, ch, beta)
+    # the surface is optimize_t's first grid pass, evaluated once for both
+    first = evaluate(pts)
+    return pts, first[0], _optimum(evaluate, ch, t_grid, True, first)
 
 
 def success_curves(v: float, k_list, t_samples) -> tuple[np.ndarray, dict[int, np.ndarray]]:

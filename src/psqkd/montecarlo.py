@@ -27,6 +27,14 @@ the decimal exponent, sign and trailing zeros keeps the characters %g
 prints, so values of every exponent share one layout and one compress.
 Rows holding a zero or a value outside [1e-4, 1e16) in magnitude, which
 %g prints with an exponent or as inf or nan, are formatted by % in order.
+
+load_records reads a file in the export's layout without np.loadtxt, and
+bit for bit as np.loadtxt would.  Each fixed-notation token's exact digits
+D, read eight ASCII digits per uint64 word, give a candidate D / 10^frac in
+long double; the candidate is kept only when the exporter's exact 17
+digits of it are the token's own, since a double's 17-digit decimal reads
+back to that double.  np.loadtxt reads the values that check cannot prove,
+and the whole file when its layout is not the export's or anything fails.
 """
 
 from __future__ import annotations
@@ -62,6 +70,23 @@ _ROW_FORMAT = "%.17g %.17g %d %.17g\n"
 # keeps the characters %g prints, so no byte moves per value.
 _SLOT = 46
 _POW5 = np.array([5**k for k in range(22)], dtype=np.uint64)
+
+# The header export_records writes: the columns, then the row count.
+_HEADER = b"# columns=x_a p_a accepted x_b\n"
+_COUNT = b"# n_samples="
+# load_records' exact reader parses _READ_BLOCK bytes of lines at a time.
+# A block's arrays peak at ~13x its bytes under tracemalloc; 2^17 ran ~10 %
+# slower, and 2^19 no faster at twice the memory.  A token's digits are
+# read from the _FIELD bytes up to its end, three 8-byte words.
+_READ_BLOCK = 1 << 18
+_FIELD = 24
+_LINE_SEPS = np.frombuffer(b"   \n", dtype=np.uint8)
+# bytes a line may hold besides digits; anything else is read by np.loadtxt
+_TOKEN_BYTES = np.zeros(256, dtype=bool)
+_TOKEN_BYTES[np.frombuffer(b" \n-.+einfa", dtype=np.uint8)] = True
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+# 10^k is exact in long double up to 10^27; products of exact factors are exact
+_POW10_LD = np.cumprod(np.full(_FIELD + 1, 10, dtype=np.longdouble)) / 10
 
 
 @functools.cache
@@ -478,11 +503,220 @@ def export_records(records: ExperimentRecords, path: str) -> None:
         fh = open(path, "wb")
     n = len(records)
     with fh:
-        fh.write(b"# columns=x_a p_a accepted x_b\n# n_samples=%d\n" % n)
+        fh.write(b"%s%s%d\n" % (_HEADER, _COUNT, n))
         for lo in range(0, n, _IO_CHUNK):
             rows = slice(lo, lo + _IO_CHUNK)
             fh.write(_format_rows(records.x_a[rows], records.p_a[rows],
                                   records.accepted[rows], records.x_b[rows]))
+
+
+@functools.cache
+def _field_masks() -> np.ndarray:
+    """The reader's word masks: row z (_FIELD + 1) + p keeps the low nibble
+    of each byte of a _FIELD-byte field but its first z bytes and its byte
+    p (p = _FIELD: none), as _FIELD // 8 little-endian uint64 words."""
+    j = np.arange(_FIELD)
+    z = np.arange(_FIELD + 1)[:, None, None]
+    p = np.arange(_FIELD + 1)[None, :, None]
+    keep = np.where((j >= z) & (j != p), 0x0F, 0).astype(np.uint8)
+    masks = keep.view("<u8").reshape(-1, _FIELD // 8)
+    masks.flags.writeable = False
+    return masks
+
+
+def _field_digits(field, skip, point):
+    """The digits of each field as one integer, and its top word.
+
+    field holds _FIELD bytes of text per token, the token right-aligned;
+    its first skip bytes and the byte at point (a "." or nothing) are not
+    digits and are dropped.  Three 8-byte words of ASCII digits are each
+    summed in three multiply-shift steps: lane i of 8, 16 and then 32 bits
+    gets 10, 100 and then 10^4 times itself plus lane i + 1, which never
+    carries.  The words are weighted by 10^16 and 10^8; the sum is exact
+    for a top word below 100, and is then below 1.01e18.  field is
+    overwritten."""
+    v = field.view("<u8")
+    v &= _field_masks().take(skip * (_FIELD + 1) + point, axis=0)
+    v *= 10 << 8 | 1
+    v >>= 8
+    v &= 0x00FF00FF00FF00FF
+    v *= 100 << 16 | 1
+    v >>= 16
+    v &= 0x0000FFFF0000FFFF
+    v *= 10000 << 32 | 1
+    v >>= 32
+    return v[:, 0] * 10**16 + v[:, 1] * 10**8 + v[:, 2], v[:, 0]
+
+
+def _tokens(block, room):
+    """The layout of the lines of block, or None if it is not the export's.
+
+    Each line must be four tokens, three single spaces and a newline, the
+    third token a lone 0 or 1, and at most room lines.  Returns the
+    accepted digits and, for the three float tokens of each line in
+    order, their (start, end) in block, sign, digits after the point (-1:
+    no point), and whether the exact path may read them: digits with a
+    leading "-" and at most one "." between digits.  Tokens with a "+" or
+    a letter are left to np.loadtxt."""
+    marks = np.flatnonzero(block < 48)
+    kind = block.take(marks)
+    at_sep = np.flatnonzero(kind <= 32)
+    seps = marks.take(at_sep)
+    rows = seps.size // 4
+    if seps.size != 4 * rows or rows > room \
+            or not (kind.take(at_sep).reshape(rows, 4) == _LINE_SEPS).all():
+        return None
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    starts[1:] = seps[:-1] + 1
+    lengths = seps - starts
+    flag = block.take(starts[2::4])
+    if lengths.min() < 1 or not ((lengths[2::4] == 1).all()
+                                 and ((flag == 48) | (flag == 49)).all()):
+        return None
+
+    # between two separators in marks lie the "-", "." and "+" of a token
+    at_special = np.flatnonzero(kind > 32)
+    byte = kind.take(at_special)
+    if not _TOKEN_BYTES.take(byte).all():
+        return None
+    at_dot = np.flatnonzero(byte == 46)
+    dot_mark = at_special.take(at_dot)
+    dots, dot_at = dot_mark - at_dot, marks.take(dot_mark)
+    sign = block.take(starts) == 45
+    has_dot = np.zeros(seps.size, dtype=bool)
+    has_dot[dots] = True
+    # a token's marks are its leading "-" and its one "." or nothing else
+    fast = np.diff(at_sep, prepend=-1) - 1 - sign == has_dot
+    frac = np.full(seps.size, -1)
+    frac[dots] = seps.take(dots) - dot_at - 1
+    # with a digit on both sides of the point
+    fast[dots[(block.take(dot_at - 1) - 48 > 9) | (block.take(dot_at + 1) - 48 > 9)]] = False
+    if block.max() > 57:
+        letters = np.flatnonzero(block > 57)
+        if not _TOKEN_BYTES.take(block.take(letters)).all():
+            return None
+        fast[np.searchsorted(seps, letters)] = False
+    cols = np.arange(seps.size).reshape(rows, 4)[:, [0, 1, 3]].ravel()
+    return (flag, starts.take(cols), seps.take(cols), sign.take(cols), frac.take(cols),
+            fast.take(cols))
+
+
+def _token_digits(text, pad, starts, ends, sign, frac):
+    """(D, digits after the point, exact) for each token of text[pad:].
+
+    A token -?digits[.digits] of at most _FIELD bytes, frac digits after
+    its point (-1: no point), is read from the _FIELD bytes up to its end:
+    D is the integer its digits spell, exact when it is below 10^17, that
+    is when the token has at most 17 significant digits."""
+    lengths = ends - starts
+    window = np.lib.stride_tricks.sliding_window_view(text, _FIELD)
+    skip = np.clip(_FIELD - lengths + sign, 0, _FIELD)
+    # no point (frac = -1) puts the point byte at _FIELD: no byte is dropped
+    point = np.maximum(_FIELD - 1 - frac, 0)
+    n, top = _field_digits(window[pad + ends - _FIELD], skip, point)
+    # n is the integer part times 10^(frac + 1) plus the fraction
+    whole, part = np.divmod(n, _POW10.take(np.minimum(frac + 1, 19)))
+    digits = whole * _POW10.take(np.clip(frac, 0, 18)) + part
+    exact = (lengths <= _FIELD) & (top < 100) & (digits < 10**17)
+    # an unproven token's point only needs to stay in range
+    return digits, np.clip(frac, 0, _FIELD), exact
+
+
+def _exact_values(text, pad, starts, ends, sign, frac, fast, value):
+    """Write each token's value into value; return where it is proven.
+
+    The candidate for a token's exact digits D and point is D / 10^frac in
+    long double, rounded to a double.  It is proven when _decimal_digits
+    of the candidate, the exporter's exact 17 digits, are D scaled to 17
+    digits with the token's exponent: every double's 17-digit decimal reads
+    back to that double, so strtod, and np.loadtxt, give the candidate.
+    Other values are left unproven."""
+    digits, frac, exact = _token_digits(text, pad, starts, ends, sign, frac)
+    np.divide(digits.astype(np.longdouble), _POW10_LD.take(frac), out=value,
+              casting="unsafe")
+    fast = fast & exact & (value >= 1e-4) & (value < 1e16)
+    shown, exp10 = _decimal_digits(np.where(fast, value, 1.0))
+    # D has n = exp10 + 1 + frac significant digits; D 10^(17 - n) == shown
+    # also rules out more, as shown < 10^17
+    n = exp10 + 1 + frac
+    fast &= (n >= 1) & (n <= 17)
+    n = np.where(fast, n, 17)
+    fast &= (digits < _POW10.take(n)) & (shown == digits * _POW10.take(17 - n))
+    np.copysign(value, 0.5 - sign, out=value)
+    return fast
+
+
+def _parse_block(text, pad, out, acc):
+    """Parse the whole lines in text, one row per line, into out and acc.
+
+    text holds pad bytes then the lines; out is the (room, 3) float rows
+    and acc the bool column left to fill.  Returns the number of lines,
+    the flat indices into out of the tokens left unproven and their
+    (start, end) in the lines, or None if the lines are not laid out as
+    export_records writes them."""
+    tokens = _tokens(text[pad:], out.shape[0])
+    if tokens is None:
+        return None
+    flag, starts, ends, sign, frac, fast = tokens
+    rows = flag.size
+    np.equal(flag, 49, out=acc[:rows])
+    fast = _exact_values(text, pad, starts, ends, sign, frac, fast,
+                         out[:rows].reshape(-1))
+    unproven = np.flatnonzero(~fast)
+    return rows, unproven, starts[unproven], ends[unproven]
+
+
+def _read_exact(path):
+    """Records of a file laid out as export_records writes it, or None.
+
+    Reads blocks of whole lines into a preallocated (n, 3) float array
+    and a bool column.  Tokens the exact check leaves unproven are read by
+    np.loadtxt at the end, all in one call."""
+    with (gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")) as fh:
+        if fh.readline(64) != _HEADER:
+            return None
+        line = fh.readline(64)
+        count = line[len(_COUNT):-1]
+        if not (line.startswith(_COUNT) and line.endswith(b"\n") and count.isdigit()):
+            return None
+        n = int(count)
+        if n < 1:
+            return None
+        out = np.empty((n, 3))
+        acc = np.empty(n, dtype=bool)
+        pad = _FIELD
+        buf = bytearray(pad + _READ_BLOCK)
+        text = np.frombuffer(buf, dtype=np.uint8)
+        view = memoryview(buf)
+        slow, tokens = [], []
+        done = carry = 0
+        while True:
+            got = fh.readinto(view[pad + carry:])
+            end = pad + carry + got
+            if got == 0:
+                if carry or done != n:
+                    return None
+                break
+            last = buf.rfind(b"\n", pad, end) + 1
+            if last == 0:
+                if end == len(buf):
+                    return None
+                carry = end - pad
+                continue
+            parsed = _parse_block(text[:last], pad, out[done:], acc[done:])
+            if parsed is None:
+                return None
+            rows, *unproven = parsed
+            for i, lo, hi in zip(*(a.tolist() for a in unproven)):
+                slow.append(3 * done + i)
+                tokens.append(bytes(view[pad + lo:pad + hi]))
+            done += rows
+            carry = end - last
+            buf[pad:pad + carry] = buf[last:end]
+    if tokens:
+        out.reshape(-1)[slow] = np.loadtxt([t.decode() for t in tokens], ndmin=1)
+    return ExperimentRecords(x_a=out[:, 0], p_a=out[:, 1], accepted=acc, x_b=out[:, 2])
 
 
 def load_records(path: str) -> ExperimentRecords:
@@ -491,7 +725,28 @@ def load_records(path: str) -> ExperimentRecords:
     Blank lines and "#" comments are skipped.  A line without exactly four
     numeric fields, an accepted field other than 0 or 1, or a file without
     records raises DomainError.
+
+    A file laid out as export_records writes it is read by an exact NumPy
+    parser: its two header lines, then n_samples lines of four tokens
+    split by single spaces, each ending in a newline, accepted a lone 0 or
+    1.  A token -?digits[.digits] with at most 17 significant digits D and
+    frac digits after the point gives the candidate D / 10^frac, computed
+    in long double.  It is kept only when its 17 digits, as export_records
+    computes them, equal the token's; every double's 17-digit decimal
+    reads back to itself, so the candidate is what np.loadtxt returns.
+    np.loadtxt reads every other value (zeros, exponent forms, inf, nan, a
+    candidate the check rejects), and any other layout or any error sends
+    the whole file through np.loadtxt: values and errors are np.loadtxt's.
     """
+    # any failure of the exact reader (a missing file, a corrupt gzip
+    # stream, a token np.loadtxt rejects) is met again, and reported with
+    # its usual message, by the np.loadtxt read below
+    try:
+        records = _read_exact(path)
+    except Exception:
+        records = None
+    if records is not None:
+        return records
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",

@@ -231,6 +231,30 @@ def test_bands_equal_the_fixed_step_bisection(monkeypatch, label, distance):
     assert record_hex(rec) == record_hex(optimize_t(src, ch, 0.95))
 
 
+def count_rate_calls(monkeypatch):
+    """Wrap analysis.pipeline_key_rate; the list grows by one per call."""
+    calls = []
+    real = analysis.pipeline_key_rate
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "pipeline_key_rate", counted)
+    return calls
+
+
+def test_channels_without_key_are_not_bisected(monkeypatch):
+    # scheme none at 50 km truncates every band and has no key at 100 km:
+    # the grid passes and the one evaluation at the band bounds are all
+    calls = count_rate_calls(monkeypatch)
+    grid = TGrid()
+    rec = optimize_t(SourceSpec.tmsv(20.0), channel(np.array([50.0, 100.0])), 0.95, grid)
+    assert rec.has_key.tolist() == [True, False]
+    assert np.isnan(rec.band_90[0][1])
+    assert len(calls) == grid.refinements + 2
+
+
 def test_band_edges_skip_and_stop_once_fixed():
     calls = []
 
@@ -362,6 +386,18 @@ class TestLandscape:
                 assert hexes(pts[:, i]) == hexes(pts_d) == hexes(grid.points())
                 assert hexes(rates[:, i]) == hexes(rates_d)
                 assert [f[i] for f in fields] == [f[0] for f in record_hex(rec_d)]
+
+    def test_grid_is_evaluated_once(self, monkeypatch):
+        # the surface is optimize_t's first grid pass, so a landscape costs
+        # the evaluations of its optimize_t and no more
+        calls = count_rate_calls(monkeypatch)
+        src, ch = SourceSpec.k_photon(20.0, 0.5, 1), channel(np.array([20.0, 80.0, 140.0]))
+        rec = optimize_t(src, ch, 0.95)
+        optimum_calls, calls[:] = len(calls), []
+        pts, rates, rec_l = landscape(src, ch, 0.95)
+        assert len(calls) == optimum_calls
+        assert record_hex(rec_l) == record_hex(rec)
+        assert hexes(rates) == hexes(pipeline_key_rate(replace(src, t=pts), ch).key_rate)
 
     def test_none_surface_is_flat_in_t(self):
         _, rates, _ = landscape(SourceSpec.tmsv(20.0), channel(30.0),

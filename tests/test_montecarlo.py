@@ -1,7 +1,9 @@
 """Monte Carlo sampler tests: estimator calibration against the analytic
 chain for ideal and lossy counters, rescaling, exact accepted-pair draws
 against the rejection sampler, and record IO (pinned bytes, a round-trip
-property, malformed input, and the bytes of the % formatter it replaced).
+property, malformed input, the bytes of the % formatter it replaced, and
+the values and errors of the np.loadtxt loader the exact reader sits in
+front of).
 
 Statistical checks run at fixed seeds verified to sit inside their 3-sigma
 bands (inflated 20% for moment estimators, whose Gaussian-formula standard
@@ -16,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import astuple
 from itertools import chain
 from pathlib import Path
@@ -26,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mc_bands import SE_INFLATION, cov_within
 
+from psqkd import montecarlo
 from psqkd.errors import DomainError, EstimationError
 from psqkd.gaussian import (
     ChannelSpec,
@@ -576,6 +580,196 @@ class TestExportMatchesReference:
         recs = run_experiment(src, ChannelSpec(t_c=0.1, epsilon=0.01), (1 << 20) + 5,
                               seed=10).records
         assert_exports_like_reference(recs, tmp_path)
+
+
+def reference_load_records(path: str) -> ExperimentRecords:
+    """load_records as it stood before the exact reader, verbatim."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"malformed record file {path}: {exc}") from None
+    if data.shape[0] == 0:
+        raise DomainError(f"no records found in {path}")
+    if data.shape[1] != 4:
+        raise DomainError(f"malformed record file {path}: {data.shape[1]} fields "
+                          "per line, expected 4")
+    # column views of the one loaded block; a contiguous copy would double
+    # the peak memory of a load
+    x_a, p_a, acc, x_b = data.T
+    valid = (acc == 0.0) | (acc == 1.0)
+    if not valid.all():
+        bad = acc[~valid][0]
+        raise DomainError(f"accepted field must be 0 or 1 in {path}, got {bad:g}")
+    return ExperimentRecords(x_a=x_a, p_a=p_a, accepted=acc == 1.0, x_b=x_b)
+
+
+def load_outcome(load, path):
+    """The columns' dtypes and bytes, or the type and message of the error."""
+    try:
+        recs = load(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [(col.dtype.str, col.tobytes())
+            for col in (recs.x_a, recs.p_a, recs.accepted, recs.x_b)]
+
+
+def assert_loads_like_reference(path):
+    got = load_outcome(load_records, path)
+    assert got == load_outcome(reference_load_records, path)
+    return got
+
+
+def write_text(path, text):
+    data = text.encode()
+    path.write_bytes(gzip.compress(data) if path.suffix == ".gz" else data)
+
+
+HEADER = "# columns=x_a p_a accepted x_b\n# n_samples=%d\n"
+ROWS = ("2.2100837931095914 -1.3828025537511299 0 0.17095551792350583\n"
+        "-0.00062773976879976212 4.2325799118064218 1 123456789\n"
+        "0.5 -1.25 1 3\n")
+
+
+def exported(rows=ROWS):
+    return HEADER % rows.count("\n") + rows
+
+
+# Files the exact reader hands to np.loadtxt whole (a layout other than the
+# export's), or where np.loadtxt reads single values (zeros, exponents,
+# non-finite values, more than 17 digits, a token over 24 bytes) or fails.
+PARITY_CASES = {
+    "export": exported(),
+    "zeros": exported("0 -0 1 0.0\n" + ROWS),
+    "exponent_forms": exported("1e-05 -7.2500000000000004e-05 0 1.0000000000000001e+300\n"),
+    "inf_nan": exported("inf -inf 1 nan\n" + ROWS),
+    # 17-digit tokens that are no double's shortest text, whose long-double
+    # candidate rounds to the wrong double: the exact check must reject it
+    "double_rounding": exported("237.69700021510873 2242528.5999778111 1 "
+                                "-7472835.9767689039\n" + ROWS),
+    "eighteen_digits": exported("1.2345678901234567891 0.1 0 -3\n"),
+    # 2^64 + 12345: its digits wrap to 12345 in uint64 unless guarded
+    "uint64_wrap": exported("18446744073709563961 -1.5 0 2\n"),
+    "long_token": exported("0.1000000000000000055511151231257827 2 1 -3\n"),
+    "leading_zeros": exported("007.50 -00.25 0 0012\n"),
+    "point_at_an_end": exported("5. .5 0 -.5\n"),
+    "tab": exported(ROWS.replace(" ", "\t", 1)),
+    "crlf": exported().replace("\n", "\r\n"),
+    "double_space": exported(ROWS.replace(" ", "  ", 1)),
+    "comment_after_header": exported(ROWS + "# a note\n"),
+    "blank_lines": HEADER % 3 + ROWS[:60] + "\n   \n" + ROWS[60:],
+    "plus_sign": exported("+1 2 0 3\n"),
+    "underscore": exported("1_0 2 0 3\n"),
+    "header_only": HEADER % 0,
+    "no_header": ROWS,
+    "count_too_large": HEADER % 9 + ROWS,
+    "count_too_small": HEADER % 1 + ROWS,
+    "three_fields": exported(ROWS + "0.1 0.2 1\n"),
+    "five_fields": exported(ROWS + "0.1 0.2 1 0.3 0.4\n"),
+    "accepted_2": exported(ROWS + "0.1 0.2 2 0.3\n"),
+    "accepted_half": exported(ROWS + "0.1 0.2 0.5 0.3\n"),
+    "accepted_1.0": exported(ROWS + "0.1 0.2 1.0 0.3\n"),
+    "non_numeric": exported(ROWS + "0.1 abc 1 0.3\n"),
+    "minus_inside": exported(ROWS + "0.1 1-2 1 0.3\n"),
+    "lone_minus": exported(ROWS + "0.1 - 1 0.3\n"),
+    "two_points": exported(ROWS + "0.1 1.2.3 1 0.3\n"),
+    "missing_final_newline": exported()[:-1],
+    "empty": "",
+}
+
+
+# float64 values at the edges of the formats: zeros, subnormals, both
+# sides of 1e-4 and 1e16 (where %g switches to exponents) and of the
+# smallest normal, powers of ten and their neighbours, and non-finite values
+EDGE_VALUES = [0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+               np.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308,
+               math.inf, math.nan] + [
+    float(v) for k in range(-6, 18) for p in (10.0**k,)
+    for v in (p, np.nextafter(p, 0.0), np.nextafter(p, math.inf))]
+edge_floats = st.one_of(
+    st.floats(width=64),
+    st.tuples(st.sampled_from(EDGE_VALUES), st.booleans()).map(
+        lambda vs: -vs[0] if vs[1] else vs[0]),
+    st.floats(min_value=-1e-3, max_value=1e-3),
+    st.floats(min_value=1e15, max_value=1e17),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+@st.composite
+def edge_record_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    col = st.lists(edge_floats, min_size=n, max_size=n)
+    return ExperimentRecords(
+        x_a=np.array(draw(col)), p_a=np.array(draw(col)),
+        accepted=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+        x_b=np.array(draw(col)),
+    )
+
+
+class TestExactLoader:
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    @pytest.mark.parametrize("case", list(PARITY_CASES))
+    def test_matches_loadtxt_loader(self, case, suffix, tmp_path):
+        path = tmp_path / ("records" + suffix)
+        write_text(path, PARITY_CASES[case])
+        assert_loads_like_reference(str(path))
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(recs=edge_record_sets())
+    def test_round_trip_matches_loadtxt_loader(self, recs):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("r.txt", "r.txt.gz"):
+                path = str(Path(tmp) / name)
+                export_records(recs, path)
+                assert_loads_like_reference(path)
+
+    def test_benchmark_export_matches_loadtxt_loader(self, tmp_path):
+        # the protocol benchmark's record file: 10^6 rows of a k = 1 run
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        ch = ChannelSpec(distance_km=50.0, loss_db_per_km=0.2, epsilon=0.01)
+        path = str(tmp_path / "records.txt")
+        export_records(run_experiment(src, ch, 10**6, seed=10).records, path)
+        assert_loads_like_reference(path)
+
+    def test_fixed_notation_needs_no_loadtxt(self, monkeypatch, tmp_path):
+        # every |v| >= 1e-4 prints in fixed notation, which the exact path
+        # proves, so np.loadtxt is never called; were the whole file to fall
+        # back, this load would fail
+        n = 10**5
+        rng = np.random.default_rng(11)
+        x, p, y = rng.uniform(1e-4, 8.0, (3, n)) * rng.choice([-1.0, 1.0], (3, n))
+        recs = ExperimentRecords(x_a=x, p_a=p, accepted=rng.random(n) < 0.3, x_b=y)
+        path = str(tmp_path / "fixed.txt")
+        export_records(recs, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
+
+        monkeypatch.setattr(montecarlo.np, "loadtxt", refuse)
+        assert_bit_identical(load_records(path), recs)
+
+    def test_only_unproven_tokens_reach_loadtxt(self, monkeypatch, tmp_path):
+        # Gaussian records print a few values below 1e-4 with an exponent:
+        # those tokens, and only those, go to np.loadtxt, in one call
+        x, p, acc, y = gaussian_records(10**5, seed=12)
+        recs = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y)
+        path = tmp_path / "gauss.txt"
+        export_records(recs, str(path))
+        body = path.read_text().split("\n", 2)[2]
+        exponents = [t for t in body.split() if "e" in t]
+        assert exponents
+        seen, real = [], np.loadtxt
+
+        def spy(lines, *args, **kwargs):
+            seen.append(list(lines))
+            return real(lines, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo.np, "loadtxt", spy)
+        assert_bit_identical(load_records(str(path)), recs)
+        assert seen == [exponents]
 
 
 def test_reductions_do_not_depend_on_blas_threads():
