@@ -136,19 +136,17 @@ def _apply_config(sub: argparse.ArgumentParser, conf: dict[str, str]) -> None:
         sub.set_defaults(**{action.dest: value})
 
 
-def _echo(args, names, seed=None, **derived) -> dict:
+def _echo(args, **derived) -> dict:
     """Ordered parameter echo for the output header.
 
-    names are flag destinations taken from args (None means the flag was
-    not given and is omitted); derived entries append after them.
+    The command's flags in table order, less the output flags and those
+    left at None, then the derived entries.
     """
     out = {}
-    for name in names:
+    for name in _COMMANDS[args.command][3]:
         value = getattr(args, name)
-        if value is not None:
+        if value is not None and name not in _OUTPUT:
             out[name] = value
-    if seed is not None:
-        out["seed"] = seed
     out.update(derived)
     return out
 
@@ -177,15 +175,23 @@ def _json_value(value):
     return value
 
 
+def _json_doc(params: dict | None, columns, rows, report: dict | None = None) -> dict:
+    """The JSON document of a table: its params, if any, then the report or
+    the columns and rows."""
+    doc = {}
+    if params is not None:
+        doc["params"] = {k: _json_value(v) for k, v in params.items()}
+    if report is not None:
+        doc["report"] = {k: _json_value(v) for k, v in report.items()}
+    else:
+        doc["columns"] = list(columns)
+        doc["rows"] = [[_json_value(v) for v in row] for row in rows]
+    return doc
+
+
 def _render(fmt: str, params: dict, columns, rows, report: dict | None = None) -> str:
     if fmt == "json":
-        doc = {"params": {k: _json_value(v) for k, v in params.items()}}
-        if report is not None:
-            doc["report"] = {k: _json_value(v) for k, v in report.items()}
-        else:
-            doc["columns"] = list(columns)
-            doc["rows"] = [[_json_value(v) for v in row] for row in rows]
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(_json_doc(params, columns, rows, report), indent=2) + "\n"
     buf = io.StringIO()
     for key, value in params.items():
         buf.write(f"# {key}={_text(value)}\n")
@@ -210,45 +216,55 @@ def _emit(args, params, columns, rows, report=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared flag groups and resolution helpers
+# flag vocabulary and resolution helpers
 
-def _add_output(p: argparse.ArgumentParser, fmt: str = "csv") -> None:
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=fmt,
-                   help=f"output format (default: {fmt})")
-    p.add_argument("--config", help="flat key = value defaults file; flags win")
+# dest: (option, kind, help), one entry per flag of any command; kind is the
+# value type (None keeps the string), a tuple of choices, or bool for a
+# switch.  Each command's flags and defaults are its list in _COMMANDS.
+_FLAGS = {
+    "out": ("--out", None, "output path (default: stdout)"),
+    "format": ("--format", ("csv", "json"), "output format (default: %(default)s)"),
+    "config": ("--config", None, "flat key = value defaults file; flags win"),
+    "export": ("--export", None, "also write the per-round records to this path"),
+    "schemes": ("--schemes", None, "comma list of none, on_off, k<count>"),
+    "distances": ("--distances", None, "comma list of km values"),
+    "v": ("--v", float, "source variance in shot-noise units"),
+    "k": ("--k", int, "click count to condition on (unset: the plain source)"),
+    "on_off": ("--on-off", bool, "condition on the threshold counter instead of a count"),
+    "t": ("--t", float, "tap transmittance"),
+    "t0": ("--t0", float, "tap transmittance of the recorded run"),
+    "eta": ("--eta", float, "target tap transmittance"),
+    "eta_d": ("--eta-d", float, "counter efficiency"),
+    "k_list": ("--k-list", None, "comma list of click counts"),
+    "eta_list": ("--eta-list", None, "comma list of counter efficiencies"),
+    "d_lo": ("--d-lo", float, "first distance in km"),
+    "d_hi": ("--d-hi", float, "last distance in km"),
+    "d_step": ("--d-step", float, "distance step in km"),
+    "t_lo": ("--t-lo", float, "lowest tap transmittance of the grid"),
+    "t_hi": ("--t-hi", float, "highest tap transmittance of the grid"),
+    "t_count": ("--t-count", int, "tap grid points"),
+    "refinements": ("--refinements", int, "10x narrower grid passes around the best tap"),
+    "dist": ("--dist", float, "channel length in km"),
+    "tc": ("--tc", float, "channel transmittance, as an alternative to --dist"),
+    "eps": ("--eps", float, "excess noise at the channel input"),
+    "loss": ("--loss", float, "fiber loss in dB/km"),
+    "beta": ("--beta", float, "reconciliation efficiency"),
+    "n": ("--n", int, "protocol rounds"),
+    "seed": ("--seed", int, "RNG seed (auto-generated and recorded when omitted)"),
+    "cutoff": ("--cutoff", int, "photon-number truncation (default: variance-derived)"),
+    "snr": ("--snr", float, "signal-to-noise ratio of the data"),
+    "blocks": ("--blocks", int, "codewords per data type"),
+    "code_n": ("--code-n", int, "constructed code length (multiple of 8)"),
+    "code_rate": ("--code-rate", float, "constructed code rate"),
+    "alist": ("--alist", None, "load the parity-check matrix from this alist file"),
+    "records": ("--records", None, "postselected data from an exported records file"),
+    "data": ("--data", ("gaussian", "postselected", "both"), "which data arms to bench"),
+    "max_iter": ("--max-iter", int, "belief-propagation iteration limit per block"),
+    "rate": ("--rate", float, "code rate"),
+}
 
-
-def _add_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--v", type=float, default=DEFAULT_V,
-                   help="source variance in shot-noise units")
-    p.add_argument("--t", type=float, default=0.8, help="tap transmittance")
-    p.add_argument("--k", type=int, default=None,
-                   help="condition on this click count (omit for the plain source)")
-    p.add_argument("--on-off", action="store_true",
-                   help="condition on the threshold counter instead of a count")
-    p.add_argument("--eta-d", type=float, default=1.0, help="counter efficiency")
-
-
-def _add_channel(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dist", type=float, default=None, help="channel length in km")
-    p.add_argument("--loss", type=float, default=DEFAULT_LOSS_DB_PER_KM,
-                   help="fiber loss in dB/km")
-    p.add_argument("--tc", type=float, default=None,
-                   help="channel transmittance, as an alternative to --dist")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON,
-                   help="excess noise at the channel input")
-
-
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (auto-generated and recorded when omitted)")
-
-
-def _add_distance_grid(p: argparse.ArgumentParser, lo, hi, step) -> None:
-    p.add_argument("--d-lo", type=float, default=lo, help="first distance in km")
-    p.add_argument("--d-hi", type=float, default=hi, help="last distance in km")
-    p.add_argument("--d-step", type=float, default=step, help="distance step in km")
+# flags that say where output goes, not what it holds; never echoed
+_OUTPUT = ("out", "format", "config", "export")
 
 
 def _single_source(args) -> SourceSpec:
@@ -307,11 +323,12 @@ def _columns(label, distances, *columns) -> list[list]:
 
 
 def _resolve_seed(args) -> int:
-    # randomized commands record the seed they actually used: 63 bits from
-    # os.urandom, since the secrets module would import hashlib and OpenSSL
-    if args.seed is not None:
-        return args.seed
-    return int.from_bytes(os.urandom(8), "big") >> 1
+    # randomized commands record the seed they actually used, so it goes back
+    # into args for the echo: 63 bits from os.urandom, since the secrets
+    # module would import hashlib and OpenSSL
+    if args.seed is None:
+        args.seed = int.from_bytes(os.urandom(8), "big") >> 1
+    return args.seed
 
 
 def _sigma(diff: float, se: float) -> float:
@@ -327,8 +344,7 @@ def _cmd_keyrate(args) -> int:
     src = _single_source(args)
     ch = _channel(args)
     rep = pipeline_key_rate(src, ch, args.beta)
-    params = _echo(args, ("v", "k", "on_off", "t", "eta_d", "dist", "tc",
-                          "eps", "loss", "beta"))
+    params = _echo(args)
     report = {
         "mutual_info": rep.mutual_info,
         "holevo": rep.holevo,
@@ -351,8 +367,7 @@ def _cmd_fig2(args) -> int:
         rec = optimize_t(src, ch, args.beta, with_bands=False)
         rows.extend(_columns(lbl, distances, rec.t_opt, rec.key_rate_opt,
                              rec.success_prob_at_opt, rec.has_key))
-    params = _echo(args, ("schemes", "v", "eta_d", "d_lo", "d_hi", "d_step",
-                          "eps", "loss", "beta"))
+    params = _echo(args)
     return _emit(args, params,
                  ["scheme", "distance_km", "t_opt", "key_rate", "success_prob",
                   "has_key"], rows)
@@ -366,8 +381,7 @@ def _cmd_fig3(args) -> int:
     for lbl, src in zip(labels, sources):
         eps_max, alive = tolerable_excess_noise(src, distances, args.beta, args.loss)
         rows.extend(_columns(lbl, distances, eps_max, alive))
-    params = _echo(args, ("schemes", "v", "t", "eta_d", "d_lo", "d_hi", "d_step",
-                          "loss", "beta"))
+    params = _echo(args)
     return _emit(args, params, ["scheme", "distance_km", "eps_max", "alive"], rows)
 
 
@@ -390,22 +404,14 @@ def _cmd_fig4(args) -> int:
         optima.extend(_columns(lbl, distances, rec.t_opt, rec.key_rate_opt,
                                rec.success_prob_at_opt, *rec.band_90, *rec.band_50,
                                rec.has_key))
-    params = _echo(args, ("schemes", "distances", "v", "eta_d", "t_lo", "t_hi",
-                          "t_count", "refinements", "eps", "loss", "beta"))
+    params = _echo(args)
     surface_cols = ["scheme", "distance_km", "t", "key_rate"]
     optima_cols = ["scheme", "distance_km", "t_opt", "key_rate_opt",
                    "success_prob", "band90_lo", "band90_hi", "band50_lo",
                    "band50_hi", "has_key"]
     if args.format == "json":
-        doc = {
-            "params": {k: _json_value(v) for k, v in params.items()},
-            "columns": surface_cols,
-            "rows": [[_json_value(v) for v in row] for row in surface],
-            "optima": {
-                "columns": optima_cols,
-                "rows": [[_json_value(v) for v in row] for row in optima],
-            },
-        }
+        doc = _json_doc(params, surface_cols, surface)
+        doc["optima"] = _json_doc(None, optima_cols, optima)
         _write_out(args.out, json.dumps(doc, indent=2) + "\n")
         return 0
     surface_text = _render("csv", params, surface_cols, surface)
@@ -423,7 +429,7 @@ def _cmd_fig5(args) -> int:
     ts, curves = success_curves(args.v, k_list, args.t_count)
     columns = ["t"] + [f"p_k{k}" for k in k_list]
     rows = [[t] + [float(curves[k][i]) for k in k_list] for i, t in enumerate(ts)]
-    params = _echo(args, ("v", "k_list", "t_count"))
+    params = _echo(args)
     return _emit(args, params, columns, rows)
 
 
@@ -436,8 +442,7 @@ def _cmd_fig6(args) -> int:
         src = SourceSpec.k_photon(args.v, args.t, args.k, eta)
         rep = pipeline_key_rate(src, ch, args.beta)
         rows.extend(_columns(eta, distances, rep.key_rate, rep.success_prob, rep.is_secure))
-    params = _echo(args, ("v", "t", "k", "eta_list", "d_lo", "d_hi", "d_step",
-                          "eps", "loss", "beta"))
+    params = _echo(args)
     return _emit(args, params,
                  ["eta_d", "distance_km", "key_rate", "success_prob", "secure"],
                  rows)
@@ -465,8 +470,7 @@ def _cmd_montecarlo(args) -> int:
         export_records(res.records, args.export)
     rep = covariance_subtracted(src)
     post = apply_channel(rep.cov, ch)
-    params = _echo(args, ("v", "k", "on_off", "t", "eta_d", "dist", "tc", "eps",
-                          "loss", "n"), seed=seed, n_accepted=res.estimate.n_accepted)
+    params = _echo(args, n_accepted=res.estimate.n_accepted)
     return _emit(args, params,
                  ["quantity", "empirical", "std_error", "analytic", "sigma"],
                  _compare_rows(res.estimate, rep, post))
@@ -484,9 +488,7 @@ def _cmd_rescale(args) -> int:
     post = apply_channel(fresh.cov, ch)
     identity_defect = abs(math.sqrt(args.eta) * spec.lam_prime * spec.g
                           - math.sqrt(args.t0) * src0.lam)
-    params = _echo(args, ("v", "t0", "eta", "k", "dist", "tc", "eps", "loss", "n"),
-                   seed=seed, g=spec.g, v_prime=spec.v_prime,
-                   identity_defect=identity_defect)
+    params = _echo(args, g=spec.g, v_prime=spec.v_prime, identity_defect=identity_defect)
     return _emit(args, params,
                  ["quantity", "empirical", "std_error", "analytic", "sigma"],
                  _compare_rows(est, fresh, post))
@@ -496,8 +498,9 @@ def _cmd_oracle(args) -> int:
     src = _single_source(args)
     if src.scheme == "none":
         raise DomainError("oracle needs a conditioning scheme: pass --k or --on-off")
-    cutoff = args.cutoff if args.cutoff is not None else suggested_cutoff(args.v)
-    state = apply_detector_loss(build_split_tmsv(args.v, args.t, cutoff), args.eta_d)
+    if args.cutoff is None:
+        args.cutoff = suggested_cutoff(args.v)
+    state = apply_detector_loss(build_split_tmsv(args.v, args.t, args.cutoff), args.eta_d)
     count = "on_off" if args.on_off else args.k
     prob, cov = condition_on_count(state, count)
     closed = covariance_subtracted(src)
@@ -508,7 +511,7 @@ def _cmd_oracle(args) -> int:
         ["cov_phi", closed.cov.phi, cov.phi],
     ]
     rows = [row + [abs(row[1] - row[2])] for row in pairs]
-    params = _echo(args, ("v", "t", "k", "on_off", "eta_d"), cutoff=cutoff)
+    params = _echo(args)
     return _emit(args, params,
                  ["quantity", "closed_form", "oracle", "abs_diff"], rows)
 
@@ -543,9 +546,7 @@ def _cmd_bench(args) -> int:
                              snr=snr, max_iter=args.max_iter))
         del x, y
     rows = [list(rep.row().values()) for rep in reports]
-    params = _echo(args, ("snr", "blocks", "code_n", "code_rate", "alist",
-                          "records", "data", "v", "t", "k", "eps", "max_iter"),
-                   seed=seed)
+    params = _echo(args)
     return _emit(args, params, ["R", "SNR", "beta", "Type", "S/T", "AIN"], rows)
 
 
@@ -558,7 +559,7 @@ def _cmd_beta(args) -> int:
         snr, beta = args.snr, beta_from_rate_snr(args.rate, args.snr)
     else:
         snr, beta = snr_from_rate_beta(args.rate, args.beta), args.beta
-    params = _echo(args, ("rate", "snr", "beta"))
+    params = _echo(args)
     return _emit(args, params, ["code_rate", "snr", "beta"],
                  [[args.rate, snr, beta]])
 
@@ -566,144 +567,51 @@ def _cmd_beta(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly and entry point
 
-def _flags_keyrate(p: argparse.ArgumentParser) -> None:
-    _add_source(p)
-    _add_channel(p)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                   help="reconciliation efficiency")
-
-
-def _flags_fig2(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schemes", default="none,k1,k2",
-                   help="comma list of none, on_off, k<count>")
-    p.add_argument("--v", type=float, default=DEFAULT_V)
-    p.add_argument("--eta-d", type=float, default=1.0, help="counter efficiency")
-    _add_distance_grid(p, 0.0, 200.0, 10.0)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--loss", type=float, default=DEFAULT_LOSS_DB_PER_KM)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-
-
-def _flags_fig3(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schemes", default="none,k1,k2")
-    p.add_argument("--v", type=float, default=DEFAULT_V)
-    p.add_argument("--t", type=float, default=0.8, help="tap transmittance")
-    p.add_argument("--eta-d", type=float, default=1.0)
-    _add_distance_grid(p, 0.0, 100.0, 10.0)
-    p.add_argument("--loss", type=float, default=DEFAULT_LOSS_DB_PER_KM)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-
-
-def _flags_fig4(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schemes", default="k1")
-    p.add_argument("--distances", default="50,100", help="comma list of km values")
-    p.add_argument("--v", type=float, default=DEFAULT_V)
-    p.add_argument("--eta-d", type=float, default=1.0)
-    p.add_argument("--t-lo", type=float, default=0.01)
-    p.add_argument("--t-hi", type=float, default=0.995)
-    p.add_argument("--t-count", type=int, default=96)
-    p.add_argument("--refinements", type=int, default=2)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--loss", type=float, default=DEFAULT_LOSS_DB_PER_KM)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-
-
-def _flags_fig5(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--v", type=float, default=DEFAULT_V)
-    p.add_argument("--k-list", default="1,2,3,4", help="comma list of counts")
-    p.add_argument("--t-count", type=int, default=400, help="grid points on (0, 1]")
-
-
-def _flags_fig6(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--v", type=float, default=DEFAULT_V)
-    p.add_argument("--t", type=float, default=0.8)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eta-list", default="1,0.8,0.5",
-                   help="comma list of counter efficiencies")
-    _add_distance_grid(p, 0.0, 100.0, 5.0)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--loss", type=float, default=DEFAULT_LOSS_DB_PER_KM)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-
-
-def _flags_montecarlo(p: argparse.ArgumentParser) -> None:
-    _add_source(p)
-    _add_channel(p)
-    p.add_argument("--n", type=int, default=1_000_000, help="protocol rounds")
-    _add_seed(p)
-    p.add_argument("--export", default=None,
-                   help="also write the per-round records to this path")
-
-
-def _flags_rescale(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--v", type=float, default=DEFAULT_V, help="source variance")
-    p.add_argument("--t0", type=float, default=0.8, help="tap of the recorded run")
-    p.add_argument("--eta", type=float, default=0.5, help="target tap transmittance")
-    p.add_argument("--k", type=int, default=1, help="click count")
-    _add_channel(p)
-    p.add_argument("--n", type=int, default=1_000_000, help="protocol rounds")
-    _add_seed(p)
-
-
-def _flags_oracle(p: argparse.ArgumentParser) -> None:
-    _add_source(p)
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="photon-number truncation (default: variance-derived)")
-
-
-def _flags_bench(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--snr", type=float, default=0.1626, help="operating SNR")
-    p.add_argument("--blocks", type=int, default=10, help="codewords per data type")
-    p.add_argument("--code-n", type=int, default=2048,
-                   help="constructed code length (multiple of 8)")
-    p.add_argument("--code-rate", type=float, default=0.1,
-                   help="constructed code rate")
-    p.add_argument("--alist", default=None,
-                   help="load the parity-check matrix from this alist file")
-    p.add_argument("--records", default=None,
-                   help="postselected data from an exported records file")
-    p.add_argument("--data", choices=("gaussian", "postselected", "both"),
-                   default="both", help="which data arms to bench")
-    p.add_argument("--v", type=float, default=DEFAULT_V)
-    p.add_argument("--t", type=float, default=0.8)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--max-iter", type=int, default=200)
-    _add_seed(p)
-
-
-def _flags_beta(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rate", type=float, default=None, help="code rate")
-    p.add_argument("--snr", type=float, default=None,
-                   help="SNR; the implied efficiency is computed")
-    p.add_argument("--beta", type=float, default=None,
-                   help="efficiency; the implied SNR is computed")
-
-
-# name: (help, runner, default output format, flag block), in help order
+# name: (help, runner, default output format, {flag dest: default} in echo
+# order), in help order; every command also takes --out, --format and --config
 _COMMANDS = {
-    "keyrate": ("single key-rate evaluation through the full pipeline",
-                _cmd_keyrate, "json", _flags_keyrate),
-    "fig2": ("per-distance optimal tap, key rate and click probability",
-             _cmd_fig2, "csv", _flags_fig2),
-    "fig3": ("largest excess noise with a positive rate, per distance",
-             _cmd_fig3, "csv", _flags_fig3),
-    "fig4": ("rate landscape over the tap, with optima and rate bands",
-             _cmd_fig4, "csv", _flags_fig4),
-    "fig5": ("click probability versus tap transmittance per count",
-             _cmd_fig5, "csv", _flags_fig5),
-    "fig6": ("key rate versus distance for imperfect counters",
-             _cmd_fig6, "csv", _flags_fig6),
-    "montecarlo": ("sampled protocol rounds against analytic targets",
-                   _cmd_montecarlo, "csv", _flags_montecarlo),
+    "keyrate": ("single key-rate evaluation through the full pipeline", _cmd_keyrate, "json",
+                {"v": DEFAULT_V, "k": None, "on_off": False, "t": 0.8, "eta_d": 1.0,
+                 "dist": None, "tc": None, "eps": DEFAULT_EPSILON,
+                 "loss": DEFAULT_LOSS_DB_PER_KM, "beta": DEFAULT_BETA}),
+    "fig2": ("per-distance optimal tap, key rate and click probability", _cmd_fig2, "csv",
+             {"schemes": "none,k1,k2", "v": DEFAULT_V, "eta_d": 1.0, "d_lo": 0.0,
+              "d_hi": 200.0, "d_step": 10.0, "eps": DEFAULT_EPSILON,
+              "loss": DEFAULT_LOSS_DB_PER_KM, "beta": DEFAULT_BETA}),
+    "fig3": ("largest excess noise with a positive rate, per distance", _cmd_fig3, "csv",
+             {"schemes": "none,k1,k2", "v": DEFAULT_V, "t": 0.8, "eta_d": 1.0,
+              "d_lo": 0.0, "d_hi": 100.0, "d_step": 10.0,
+              "loss": DEFAULT_LOSS_DB_PER_KM, "beta": DEFAULT_BETA}),
+    "fig4": ("rate landscape over the tap, with optima and rate bands", _cmd_fig4, "csv",
+             {"schemes": "k1", "distances": "50,100", "v": DEFAULT_V, "eta_d": 1.0,
+              "t_lo": 0.01, "t_hi": 0.995, "t_count": 96, "refinements": 2,
+              "eps": DEFAULT_EPSILON, "loss": DEFAULT_LOSS_DB_PER_KM,
+              "beta": DEFAULT_BETA}),
+    "fig5": ("click probability versus tap transmittance per count", _cmd_fig5, "csv",
+             {"v": DEFAULT_V, "k_list": "1,2,3,4", "t_count": 400}),
+    "fig6": ("key rate versus distance for imperfect counters", _cmd_fig6, "csv",
+             {"v": DEFAULT_V, "t": 0.8, "k": 1, "eta_list": "1,0.8,0.5", "d_lo": 0.0,
+              "d_hi": 100.0, "d_step": 5.0, "eps": DEFAULT_EPSILON,
+              "loss": DEFAULT_LOSS_DB_PER_KM, "beta": DEFAULT_BETA}),
+    "montecarlo": ("sampled protocol rounds against analytic targets", _cmd_montecarlo, "csv",
+                   {"v": DEFAULT_V, "k": None, "on_off": False, "t": 0.8, "eta_d": 1.0,
+                    "dist": None, "tc": None, "eps": DEFAULT_EPSILON,
+                    "loss": DEFAULT_LOSS_DB_PER_KM, "n": 1_000_000, "seed": None,
+                    "export": None}),
     "rescale": ("pump rescaling demo: reuse records at another tap transmittance",
-                _cmd_rescale, "csv", _flags_rescale),
-    "oracle": ("closed forms against the truncated number-basis oracle",
-               _cmd_oracle, "csv", _flags_oracle),
-    "bench": ("reconciliation bench over Gaussian and postselected data",
-              _cmd_bench, "csv", _flags_bench),
-    "beta": ("reconciliation efficiency arithmetic at a working point",
-             _cmd_beta, "csv", _flags_beta),
+                _cmd_rescale, "csv",
+                {"v": DEFAULT_V, "t0": 0.8, "eta": 0.5, "k": 1, "dist": None, "tc": None,
+                 "eps": DEFAULT_EPSILON, "loss": DEFAULT_LOSS_DB_PER_KM, "n": 1_000_000,
+                 "seed": None}),
+    "oracle": ("closed forms against the truncated number-basis oracle", _cmd_oracle, "csv",
+               {"v": DEFAULT_V, "t": 0.8, "k": None, "on_off": False, "eta_d": 1.0,
+                "cutoff": None}),
+    "bench": ("reconciliation bench over Gaussian and postselected data", _cmd_bench, "csv",
+              {"snr": 0.1626, "blocks": 10, "code_n": 2048, "code_rate": 0.1, "alist": None,
+               "records": None, "data": "both", "v": DEFAULT_V, "t": 0.8, "k": 1,
+               "eps": DEFAULT_EPSILON, "max_iter": 200, "seed": None}),
+    "beta": ("reconciliation efficiency arithmetic at a working point", _cmd_beta, "csv",
+             {"rate": None, "snr": None, "beta": None}),
 }
 
 
@@ -723,12 +631,18 @@ def build_parser(command: str | None = None
                     "for photon-subtracted CV-QKD.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     subs = {}
-    for name, (help_text, run, fmt, add_flags) in _COMMANDS.items():
+    for name, (help_text, run, fmt, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(_run=run, _parser=p)
         if command is None or command == name:
-            _add_output(p, fmt)
-            add_flags(p)
+            for dest, default in {"out": None, "format": fmt, "config": None, **flags}.items():
+                option, kind, flag_help = _FLAGS[dest]
+                if kind is bool:
+                    p.add_argument(option, action="store_true", help=flag_help)
+                elif isinstance(kind, tuple):
+                    p.add_argument(option, choices=kind, default=default, help=flag_help)
+                else:
+                    p.add_argument(option, type=kind, default=default, help=flag_help)
         subs[name] = p
     return parser, subs
 

@@ -65,28 +65,19 @@ class LdpcCode:
         """The edges in slot order, built on first use."""
         return SlotLayout.of(self)
 
-    def check_fold(self, ufunc, values) -> np.ndarray:
-        """ufunc folded over each check's edge values, left to right in edge
-        order: ufunc.reduceat(values, check_ptr[:-1]) in one pass per slot
-        column rather than one call per check."""
-        lay = self.slots
-        first = self.check_ptr[:-1][lay.chk_order]
-        acc = values[first]
-        for j, col in enumerate(lay.chk_cols[1:], 1):
-            head = acc[:col.stop - col.start]
-            ufunc(head, values[first[:head.size] + j], out=head)
-        out = np.empty_like(acc)
-        out[lay.chk_order] = acc
-        return out
-
     def syndrome(self, bits) -> np.ndarray:
         """Parity of each check over the given bit vector."""
         bits = np.asarray(bits)
         if bits.shape != (self.n,):
             raise DomainError(f"bits must have shape ({self.n},), got {bits.shape}")
-        # the low bit of an XOR is the parity of the operands' low bits
+        # each check slot's bit, folded per check as BP folds its hard
+        # decisions; the low bit of an XOR is the parity of the operands' low bits
+        lay = self.slots
         bits = bits.astype(np.uint8, copy=False)
-        return self.check_fold(np.bitwise_xor, bits[self.edge_var]) & 1
+        out = np.empty(self.m, dtype=np.uint8)
+        out[lay.chk_order] = fold_columns(np.bitwise_xor, bits[lay.var_order][lay.sv],
+                                          lay.chk_cols)
+        return out & 1
 
     @classmethod
     def from_adjacency(cls, n: int, m: int, var_lists) -> "LdpcCode":

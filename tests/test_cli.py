@@ -38,6 +38,22 @@ def test_import_path_loads_no_scipy(tmp_path):
     assert "Gaussian" in (tmp_path / "bench.txt").read_text()
 
 
+# every subcommand at a small size
+SMALL_ARGV = {
+    "keyrate": ["--k", "1", "--dist", "50"],
+    "fig2": ["--d-hi", "20", "--d-step", "10"],
+    "fig3": ["--d-hi", "10", "--d-step", "10"],
+    "fig4": ["--distances", "50", "--t-count", "32", "--refinements", "0"],
+    "fig5": ["--t-count", "20"],
+    "fig6": ["--d-hi", "10", "--d-step", "5"],
+    "montecarlo": ["--k", "1", "--dist", "50", "--n", "20000", "--seed", "1"],
+    "rescale": ["--dist", "50", "--n", "20000", "--seed", "5"],
+    "oracle": ["--v", "6", "--t", "0.8", "--k", "1"],
+    "bench": ["--code-n", "512", "--blocks", "2", "--seed", "7"],
+    "beta": ["--rate", "0.1", "--snr", "0.1626"],
+}
+
+
 def run_to_file(tmp_path, argv, name="out.txt"):
     path = tmp_path / name
     rc = main(argv + ["--out", str(path)])
@@ -127,16 +143,20 @@ class TestConfigFiles:
         assert params["t_count"] == "40"
         assert "dist" not in params
 
-    def test_header_echo_replays_the_run(self, tmp_path):
-        argv = ["montecarlo", "--k", "1", "--t", "0.8", "--dist", "60",
-                "--n", "20000", "--seed", "11"]
-        first = run_to_file(tmp_path, argv, "first.csv")
+    @pytest.mark.parametrize("command", sorted(SMALL_ARGV))
+    def test_header_echo_replays_the_run(self, tmp_path, command):
+        # the CSV header, stripped of its "# " prefixes, is the run's config
+        first = run_to_file(tmp_path, [command, *SMALL_ARGV[command], "--format", "csv"],
+                            "first.csv")
         cfg = tmp_path / "replay.cfg"
-        cfg.write_text("\n".join(
-            f"{k} = {v}" for k, v in read_header_params(first).items()) + "\n")
-        second = run_to_file(tmp_path, ["montecarlo", "--config", str(cfg)],
+        cfg.write_text("".join(line[2:] + "\n" for line in first.splitlines()
+                               if line.startswith("# ")))
+        second = run_to_file(tmp_path, [command, "--config", str(cfg), "--format", "csv"],
                              "second.csv")
         assert second == first
+        if command == "fig4":
+            assert ((tmp_path / "second_optima.csv").read_text()
+                    == (tmp_path / "first_optima.csv").read_text())
 
     def test_config_reaches_the_one_populated_subparser(self, tmp_path, monkeypatch):
         built = []
@@ -226,6 +246,42 @@ class TestExitCodes:
         assert main(["oracle", "--v", "6"]) == 1
 
 
+# header keys a command appends after its flags
+DERIVED = {"montecarlo": ["n_accepted"], "rescale": ["g", "v_prime", "identity_defect"]}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_ARGV))
+def test_header_echoes_the_command_flags_in_order(tmp_path, command):
+    # the subparser's flags in order, less those left unset, then the derived
+    # keys; a seed or cutoff left unset is resolved by the run and echoed
+    argv = [command, *SMALL_ARGV[command], "--format", "csv"]
+    text = run_to_file(tmp_path, argv)
+    parser, subs = build_parser(command)
+    args = parser.parse_args(argv)
+    flags = [a.dest for a in subs[command]._actions if a.dest not in ("help", *cli._OUTPUT)
+             and (getattr(args, a.dest) is not None or a.dest in ("seed", "cutoff"))]
+    assert list(read_header_params(text)) == flags + DERIVED.get(command, [])
+
+
+def test_flag_vocabulary():
+    # one _FLAGS entry per flag: every entry is used and has help, every
+    # command's flags come from it, and no header echoes an output flag
+    parser, subs = build_parser()
+    used = {a.dest for p in subs.values() for a in p._actions} - {"help"}
+    assert used == set(cli._FLAGS)
+    assert set(cli._OUTPUT) <= set(cli._FLAGS)
+    for dest, (option, _, help_text) in cli._FLAGS.items():
+        assert option == "--" + dest.replace("_", "-")
+        assert help_text.strip(), dest
+    for name, p in subs.items():
+        assert set(cli._COMMANDS[name][3]) <= set(cli._FLAGS), name
+        assert all(a.help for a in p._actions), name
+        argv = [name, "--out", "o.csv", "--format", "json", "--config", "c.cfg"]
+        if "export" in cli._COMMANDS[name][3]:
+            argv += ["--export", "rounds.txt"]
+        assert not set(cli._echo(parser.parse_args(argv))) & set(cli._OUTPUT), name
+
+
 def parser_actions(p):
     return [(type(a), a.option_strings, a.dest, a.default, a.type, a.choices, a.nargs,
              a.help) for a in p._actions]
@@ -241,17 +297,6 @@ def test_one_command_parser_matches_the_full_one(command):
     assert parser.format_help() == full_parser.format_help()
 
 
-# small sizes for each subcommand that takes a counter efficiency
-ETA_D_ARGS = {
-    "keyrate": ["--k", "1", "--dist", "50"],
-    "fig2": ["--d-hi", "20", "--d-step", "10"],
-    "fig3": ["--d-hi", "10", "--d-step", "10"],
-    "fig4": ["--distances", "50", "--t-count", "32", "--refinements", "0"],
-    "montecarlo": ["--k", "1", "--dist", "50", "--n", "20000", "--seed", "1"],
-    "oracle": ["--v", "6", "--t", "0.8", "--k", "1"],
-}
-
-
 def commands_with_flag(flag):
     _, subs = build_parser()
     return sorted(name for name, p in subs.items()
@@ -261,7 +306,7 @@ def commands_with_flag(flag):
 @pytest.mark.parametrize("command", commands_with_flag("--eta-d"))
 def test_every_eta_d_command_runs_a_lossy_counter(tmp_path, command):
     # a subcommand that accepts --eta-d must model that counter, not reject it
-    assert main([command, *ETA_D_ARGS[command], "--eta-d", "0.5",
+    assert main([command, *SMALL_ARGV[command], "--eta-d", "0.5",
                  "--out", str(tmp_path / "out.txt")]) == 0
 
 
