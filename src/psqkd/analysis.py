@@ -132,26 +132,17 @@ def _band_edges(rate_fn, t_opt, bounds, targets) -> np.ndarray:
     """Bisect for each rate crossing between t_opt and bounds[i] at targets[i].
 
     All edges of all channels are bisected together, one array evaluation
-    per step, for at most 60 steps.  If the rate never drops below the
-    target before the grid bound, that band is truncated there, and its
-    bisection is discarded; a target of -inf (a channel without key) counts
-    as truncated too.  When every band is truncated none is run.  A step
-    that leaves every untruncated bracket as it was would be repeated by
-    each later step, so the bisection stops there.
+    per step.  If the rate never drops below the target before the grid
+    bound, that band is truncated there: its bracket is [bound, bound], so
+    it is not bisected.  A target of -inf (a channel without key) counts as
+    truncated too.  When every band is truncated none is run.
     """
     truncated = (targets == -np.inf) | (rate_fn(bounds) >= targets)
     if np.all(truncated):
         return bounds
-    lo, hi = np.broadcast_to(t_opt, bounds.shape), bounds
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        above = rate_fn(mid) >= targets
-        # taps are positive and finite, so == compares their bits
-        if np.all(truncated | (mid == np.where(above, lo, hi))):
-            break
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return np.where(truncated, bounds, 0.5 * (lo + hi))
+    lo, hi = _bisect(lambda t: rate_fn(t) >= targets,
+                     np.where(truncated, bounds, t_opt), bounds)
+    return 0.5 * (lo + hi)
 
 
 def optimize_t(src: SourceSpec, ch: ChannelSpec, beta: float = DEFAULT_BETA,
@@ -207,23 +198,24 @@ def _optimum(evaluate, ch: ChannelSpec, t_grid: TGrid, with_bands: bool,
                          (lo90, hi90), (lo50, hi50), _plain(has_key))
 
 
-def _bisect(pred, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Halve every bracket [lo, hi] until narrower than tol, keeping pred(lo) true.
+def _bisect(pred, lo, hi, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Halve every bracket between lo and hi, keeping pred(lo) true.
 
-    lo and hi are arrays of brackets (or scalars), and pred maps an array
-    of points to a bool array; pred(hi) is taken to be false.  A bracket
-    stops moving once narrower than tol, so each ends where a bisection of
-    it alone would.  The last brackets are returned.
+    lo and hi are arrays of brackets (or scalars), in either order, and pred
+    maps an array of points to a bool array; pred(hi) is taken to be false.
+    A bracket stops moving once narrower than tol or once its midpoint
+    rounds to one of its ends, so each ends where a bisection of it alone
+    would.  The last brackets are returned.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    live = hi - lo >= tol
-    while np.any(live):
+    while True:
         mid = 0.5 * (lo + hi)
+        live = (np.abs(hi - lo) >= tol) & (mid != lo) & (mid != hi)
+        if not np.any(live):
+            return lo, hi
         up = pred(mid)
         lo = np.where(live & up, mid, lo)
         hi = np.where(live & np.logical_not(up), mid, hi)
-        live = hi - lo >= tol
-    return lo, hi
 
 
 def _noise_threshold(rate, shape) -> tuple:

@@ -423,84 +423,64 @@ def peg_construct(n: int, m: int, profile: dict, seed: int) -> LdpcCode:
     return LdpcCode._from_var_major(n, m, degrees, var_chks)
 
 
+def _padded(entries, degrees) -> np.ndarray:
+    """Rows of the given degrees, laid end to end in entries, as the rows of
+    a zero-padded matrix as wide as the largest degree."""
+    width = int(degrees.max())
+    out = np.zeros((degrees.size, width), dtype=entries.dtype)
+    out[np.arange(width) < degrees[:, None]] = entries
+    return out
+
+
 def save_alist(code: LdpcCode, path: str) -> None:
     """Write the standard alist form (1-indexed, zero-padded rows)."""
     # edges are sorted by check then variable: each check's variables are
     # ascending, and a stable sort by variable keeps each variable's checks so
     by_var = code.edge_chk[np.argsort(code.edge_var, kind="stable")]
-    vlists = np.split(by_var, np.cumsum(code.var_degrees)[:-1])
-    clists = np.split(code.edge_var, code.check_ptr[1:-1])
-    dv = max(len(x) for x in vlists)
-    dc = max(len(x) for x in clists)
+    vdeg, cdeg = code.var_degrees, code.check_degrees
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "wt") as fh:
-        fh.write(f"{code.n} {code.m}\n{dv} {dc}\n")
-        fh.write(" ".join(str(len(x)) for x in vlists) + "\n")
-        fh.write(" ".join(str(len(x)) for x in clists) + "\n")
-        for lst in vlists:
-            row = [str(int(c) + 1) for c in lst] + ["0"] * (dv - len(lst))
-            fh.write(" ".join(row) + "\n")
-        for lst in clists:
-            row = [str(int(v) + 1) for v in lst] + ["0"] * (dc - len(lst))
-            fh.write(" ".join(row) + "\n")
+        fh.write(f"{code.n} {code.m}\n{vdeg.max()} {cdeg.max()}\n")
+        for rows in (vdeg[None], cdeg[None], _padded(by_var + 1, vdeg),
+                     _padded(code.edge_var + 1, cdeg)):
+            np.savetxt(fh, rows, fmt="%d")
 
 
 def load_alist(path: str) -> LdpcCode:
     """Read an alist file (padded or unpadded variant)."""
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt") as fh:
-        tokens = fh.read().split()
-    it = iter(tokens)
-
-    def take(count):
-        out = []
-        try:
-            for _ in range(count):
-                out.append(int(next(it)))
-        except StopIteration:
-            raise DomainError(f"truncated alist file {path}") from None
-        return out
-
-    n, m = take(2)
+        tokens = np.array(fh.read().split(), dtype=np.int64)
+    if tokens.size < 2:
+        raise DomainError(f"truncated alist file {path}")
+    n, m = tokens[:2].tolist()
     if n < 1 or m < 1:
         raise DomainError(f"bad alist header n={n} m={m}")
-    take(2)  # declared max degrees; actual lists are authoritative
-    vdeg = take(n)
-    cdeg = take(m)
-    n_edges = sum(vdeg)
-    if n_edges != sum(cdeg):
+    # tokens 2 and 3 declare the max degrees; the lists are authoritative
+    if tokens.size < 4 + n + m:
+        raise DomainError(f"truncated alist file {path}")
+    vdeg, cdeg, body = np.split(tokens[4:], [n, n + m])
+    n_edges = int(vdeg.sum())
+    if n_edges != cdeg.sum():
         raise DomainError("alist degree lists disagree on edge count")
-    rest = np.array([int(t) for t in it], dtype=np.int64)
-    dv = max(vdeg)
-    dc = max(cdeg)
-    if rest.size == n * dv + m * dc:
-        padded = True
-    elif rest.size == 2 * n_edges:
-        padded = False
-    else:
-        raise DomainError(f"alist body has {rest.size} entries; expected "
+    dv, dc = int(vdeg.max()), int(cdeg.max())
+    padded = body.size == n * dv + m * dc
+    if not padded and body.size != 2 * n_edges:
+        raise DomainError(f"alist body has {body.size} entries; expected "
                           f"{n * dv + m * dc} padded or {2 * n_edges} unpadded")
-
-    def rows(counts, stride, start):
-        pos = start
-        out = []
-        for want in counts:
-            row = rest[pos:pos + (stride if padded else want)]
-            pos += stride if padded else want
-            entries = row[row > 0] - 1
-            if entries.size != want:
-                raise DomainError("alist row does not match its declared degree")
-            out.append(entries.astype(np.int32))
-        return out, pos
-
-    var_lists, pos = rows(vdeg, dv, 0)
-    chk_lists, _ = rows(cdeg, dc, pos)
-    code = LdpcCode.from_adjacency(n, m, var_lists)
+    if min(vdeg.min(), cdeg.min()) < 0:
+        # no row holds a negative number of entries
+        raise DomainError("alist row does not match its declared degree")
+    if padded:
+        var_rows, chk_rows = body[:n * dv].reshape(n, dv), body[n * dv:].reshape(m, dc)
+    else:
+        var_rows, chk_rows = _padded(body[:n_edges], vdeg), _padded(body[n_edges:], cdeg)
+    # entries below 1 pad a row
+    if ((var_rows > 0).sum(axis=1) != vdeg).any() or ((chk_rows > 0).sum(axis=1) != cdeg).any():
+        raise DomainError("alist row does not match its declared degree")
+    code = LdpcCode._from_var_major(n, m, vdeg, var_rows[var_rows > 0] - 1)
     # the check rows must describe the same edge set
-    pair_v = np.sort(code.edge_chk.astype(np.int64) * n + code.edge_var)
-    pair_c = np.sort(np.concatenate(
-        [c * n + np.asarray(lst, dtype=np.int64) for c, lst in enumerate(chk_lists)]
-    )) if chk_lists else np.empty(0, dtype=np.int64)
-    if not np.array_equal(pair_v, pair_c):
+    pair_c = np.repeat(np.arange(m, dtype=np.int64) * n, cdeg) + chk_rows[chk_rows > 0] - 1
+    if not np.array_equal(code.edge_chk.astype(np.int64) * n + code.edge_var, np.sort(pair_c)):
         raise DomainError("alist variable and check adjacency disagree")
     return code

@@ -7,7 +7,10 @@ rotation carrying unit x to unit y is therefore M = sum_i <y, A_i x> A_i:
 expanding y in the frame of x makes M x = y exact, and the coefficients
 have unit norm, which makes M orthogonal.
 
-The basis is generated at import by Cayley-Dickson doubling from the reals;
+The basis is generated at import by Cayley-Dickson doubling from the reals,
+as the rule the doubling keeps: e_i e_j = s[i, j] e_(i xor j).  Each
+doubling takes the sign table s to [[s, s^T], [s c, -s^T c]], where c_j is
+the sign of conj(e_j) (+1 for j = 0, -1 otherwise) and scales column j.
 A_1 is the identity.  Each A_i w is applied as what it is, a signed
 permutation of w's entries, so no (..., 8, 8) frame is ever formed.
 """
@@ -17,58 +20,24 @@ from __future__ import annotations
 import numpy as np
 
 
-def _doubled(table):
-    """One Cayley-Dickson doubling of a basis multiplication table.
-
-    table[i][j] = (sign, k) meaning e_i e_j = sign * e_k.  Conjugation
-    negates every basis element except e_0, and products of pairs follow
-    (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)).
-    """
-    nn = len(table)
-
-    def conj_sign(k):
-        return 1 if k == 0 else -1
-
-    out = [[None] * (2 * nn) for _ in range(2 * nn)]
-    for i in range(2 * nn):
-        ib, i0 = divmod(i, nn)
-        for j in range(2 * nn):
-            jb, j0 = divmod(j, nn)
-            if ib == 0 and jb == 0:
-                s, k = table[i0][j0]
-                out[i][j] = (s, k)
-            elif ib == 0 and jb == 1:
-                s, k = table[j0][i0]
-                out[i][j] = (s, k + nn)
-            elif ib == 1 and jb == 0:
-                s, k = table[i0][j0]
-                out[i][j] = (s * conj_sign(j0), k + nn)
-            else:
-                s, k = table[j0][i0]
-                out[i][j] = (-s * conj_sign(j0), k)
-    return out
-
-
-def _octonion_basis() -> np.ndarray:
-    table = [[(1, 0)]]
+def _sign_table() -> np.ndarray:
+    """s[i, j] of e_i e_j = s[i, j] e_(i xor j), doubled three times from [[1]]."""
+    s = np.ones((1, 1))
     for _ in range(3):
-        table = _doubled(table)
-    basis = np.zeros((8, 8, 8))
-    for i in range(8):
-        for j in range(8):
-            s, k = table[i][j]
-            basis[i, k, j] = float(s)
-    basis.flags.writeable = False
-    return basis
+        c = np.where(np.arange(len(s)) == 0, 1.0, -1.0)  # signs of conj(e_j)
+        s = np.block([[s, s.T], [s * c, -s.T * c]])
+    return s
 
+
+# (A_i w)_k = _SIGN[i, k] * w[_PERM[i, k]]: the one nonzero of each row,
+# at the j with i xor j = k
+_PERM = np.arange(8)[:, None] ^ np.arange(8)
+_SIGN = np.take_along_axis(_sign_table(), _PERM, axis=1)
 
 # BASIS[i] is the matrix of left multiplication by e_i; BASIS[0] = identity.
-OCTONION_BASIS = _octonion_basis()
-
-
-# (A_i w)_k = _SIGN[i, k] * w[_PERM[i, k]]: the one nonzero of each row
-_PERM = np.abs(OCTONION_BASIS).argmax(axis=2)
-_SIGN = np.take_along_axis(OCTONION_BASIS, _PERM[..., None], axis=2)[..., 0]
+OCTONION_BASIS = np.zeros((8, 8, 8))
+np.put_along_axis(OCTONION_BASIS, _PERM[..., None], _SIGN[..., None], axis=2)
+OCTONION_BASIS.flags.writeable = False
 
 
 def _image(w, i):

@@ -445,11 +445,11 @@ class TestRecordsIO:
             load_records(str(path))
 
     @pytest.mark.parametrize("text", [
-        GOOD_LINE + "0.1 0.2 1\n" + GOOD_LINE,      # a short line among good ones
-        GOOD_LINE + "0.1 0.2 1 0.3 0.4\n",          # five fields
-        GOOD_LINE + "0.1 abc 1 0.3\n",              # non-numeric token
-        GOOD_LINE + "0.1 0.2 2 0.3\n",              # accepted outside {0, 1}
-        "",                                         # empty file
+        pytest.param(GOOD_LINE + "0.1 0.2 1\n" + GOOD_LINE, id="short-line"),
+        pytest.param(GOOD_LINE + "0.1 0.2 1 0.3 0.4\n", id="five-fields"),
+        pytest.param(GOOD_LINE + "0.1 abc 1 0.3\n", id="non-numeric"),
+        pytest.param(GOOD_LINE + "0.1 0.2 2 0.3\n", id="accepted-not-0-or-1"),
+        "",  # empty file; its generated id is empty and on one line
     ])
     def test_malformed_input_raises(self, tmp_path, text):
         path = tmp_path / "bad.txt"

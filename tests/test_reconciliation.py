@@ -33,6 +33,7 @@ from psqkd.reconciliation import (
     save_alist,
     snr_estimate,
 )
+from psqkd.reconciliation import rotation
 from psqkd.reconciliation.ldpc import LdpcCode, _degree_sequence, fold_columns
 from psqkd.subtraction import SourceSpec, covariance_subtracted
 
@@ -56,7 +57,61 @@ def frame(w) -> np.ndarray:
     return np.einsum("ikj,...j->...ik", OCTONION_BASIS, w)
 
 
+def reference_octonion_basis():
+    """The basis, _PERM and _SIGN as Cayley-Dickson doubling of a nested
+    (sign, index) table built them, verbatim."""
+    def _doubled(table):
+        """One Cayley-Dickson doubling of a basis multiplication table.
+
+        table[i][j] = (sign, k) meaning e_i e_j = sign * e_k.  Conjugation
+        negates every basis element except e_0, and products of pairs follow
+        (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)).
+        """
+        nn = len(table)
+
+        def conj_sign(k):
+            return 1 if k == 0 else -1
+
+        out = [[None] * (2 * nn) for _ in range(2 * nn)]
+        for i in range(2 * nn):
+            ib, i0 = divmod(i, nn)
+            for j in range(2 * nn):
+                jb, j0 = divmod(j, nn)
+                if ib == 0 and jb == 0:
+                    s, k = table[i0][j0]
+                    out[i][j] = (s, k)
+                elif ib == 0 and jb == 1:
+                    s, k = table[j0][i0]
+                    out[i][j] = (s, k + nn)
+                elif ib == 1 and jb == 0:
+                    s, k = table[i0][j0]
+                    out[i][j] = (s * conj_sign(j0), k + nn)
+                else:
+                    s, k = table[j0][i0]
+                    out[i][j] = (-s * conj_sign(j0), k)
+        return out
+
+    table = [[(1, 0)]]
+    for _ in range(3):
+        table = _doubled(table)
+    basis = np.zeros((8, 8, 8))
+    for i in range(8):
+        for j in range(8):
+            s, k = table[i][j]
+            basis[i, k, j] = float(s)
+    perm = np.abs(basis).argmax(axis=2)
+    sign = np.take_along_axis(basis, perm[..., None], axis=2)[..., 0]
+    return basis, perm, sign
+
+
 class TestRotationBasis:
+    def test_basis_equals_the_doubled_table(self):
+        for got, want in zip((OCTONION_BASIS, rotation._PERM, rotation._SIGN),
+                             reference_octonion_basis()):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert not OCTONION_BASIS.flags.writeable
+
     def test_sign_permutation_structure(self):
         assert OCTONION_BASIS.shape == (8, 8, 8)
         assert np.array_equal(OCTONION_BASIS[0], np.eye(8))
@@ -331,6 +386,13 @@ class TestLdpcGraph:
             peg_construct(10, m, {2: 1.0}, seed=1)
 
 
+# 3 variables on both of 2 checks: padded and unpadded bodies coincide
+SMALL_ALIST = "3 2\n2 2\n2 2 2\n3 3\n1 2\n1 2\n1 2\n1 2 3\n1 2 3\n"
+# 4 variables, 3 checks, the last check of degree 2, in both forms
+FOUR_UNPADDED = "4 3\n2 3\n2 2 2 2\n3 3 2\n1 2\n1 2\n1 3\n2 3\n1 2 3\n1 2 4\n3 4\n"
+FOUR_PADDED = FOUR_UNPADDED[:-1] + " 0\n"
+
+
 class TestAlist:
     def test_round_trip(self, code512, tmp_path):
         for name in ("code.alist", "code.alist.gz"):
@@ -343,23 +405,68 @@ class TestAlist:
 
     def test_unpadded_variant(self, tmp_path):
         # 3 variables, 2 checks, no padding zeros
-        text = "3 2\n2 2\n2 2 2\n3 3\n1 2\n1 2\n1 2\n1 2 3\n1 2 3\n"
         path = tmp_path / "small.alist"
-        path.write_text(text)
+        path.write_text(SMALL_ALIST)
         code = load_alist(str(path))
         assert code.n == 3 and code.m == 2 and code.n_edges == 6
 
-    def test_malformed_raises(self, tmp_path):
-        cases = [
-            "3 2\n2 2\n2 2 2\n3 3\n1 2\n1 2\n",  # truncated body
-            "3 2\n2 2\n2 2 2\n3 2\n1 2\n1 2\n1 2\n1 2 3\n1 2\n",  # edge count mismatch
-            "3 2\n2 2\n2 2 2\n3 3\n1 2\n1 2\n1 1\n1 2 3\n1 2 3\n",  # duplicate edge
-        ]
-        for i, text in enumerate(cases):
-            path = tmp_path / f"bad{i}.alist"
-            path.write_text(text)
-            with pytest.raises(DomainError):
-                load_alist(str(path))
+    def test_save_writes_the_padded_form(self, tmp_path):
+        path = tmp_path / "small.alist"
+        save_alist(LdpcCode.from_adjacency(3, 2, [[0, 1]] * 3), str(path))
+        # the declared max degrees are written as the lists give them
+        assert path.read_text() == SMALL_ALIST.replace("2 2\n2 2 2", "2 3\n2 2 2")
+
+    def test_unpadded_save_load_round_trip(self, tmp_path):
+        src, out = tmp_path / "unpadded.alist", tmp_path / "padded.alist"
+        src.write_text(FOUR_UNPADDED)
+        code = load_alist(str(src))
+        save_alist(code, str(out))
+        assert out.read_text() == FOUR_PADDED
+        back = load_alist(str(out))
+        assert (back.n, back.m) == (4, 3)
+        for name in ("edge_var", "edge_chk", "check_ptr"):
+            assert np.array_equal(getattr(back, name), getattr(code, name))
+        assert back.edge_var.tolist() == [0, 1, 2, 0, 1, 3, 2, 3]
+
+    @pytest.mark.parametrize("text, match", [
+        pytest.param("0 2\n2 2\n2 2\n", "bad alist header n=0 m=2", id="header-n"),
+        pytest.param("3 0\n2 2\n2 2 2\n", "bad alist header n=3 m=0", id="header-m"),
+        pytest.param("2 2\n2 2\n2 2\n2 2\n1 2\n1 2\n1 2\n1 2\n",
+                     "need 1 <= m < n, got n=2 m=2", id="m-not-below-n"),
+        pytest.param("3", "truncated alist file", id="truncated-header"),
+        pytest.param("3 2\n2 2\n2 2 2\n3\n", "truncated alist file",
+                     id="truncated-degree-lists"),
+        pytest.param("3 2\n2 2\n2 2 2\n3 3\n1 2\n1 2\n",
+                     "alist body has 4 entries; expected 12 padded or 12 unpadded",
+                     id="body-too-short"),
+        pytest.param(SMALL_ALIST + "1\n", "alist body has 13 entries", id="body-too-long"),
+        pytest.param("3 2\n2 2\n2 2 2\n3 2\n1 2\n1 2\n1 2\n1 2 3\n1 2\n",
+                     "alist degree lists disagree on edge count", id="degree-lists-disagree"),
+        pytest.param(FOUR_PADDED.replace("\n1 2\n1 3", "\n1 0\n1 3"),
+                     "alist row does not match its declared degree", id="padded-row-off"),
+        pytest.param(FOUR_PADDED.replace("3 4 0", "3 0 0"),
+                     "alist row does not match its declared degree", id="padded-check-row-off"),
+        pytest.param(FOUR_UNPADDED.replace("\n1 2\n1 3", "\n1 0\n1 3"),
+                     "alist row does not match its declared degree", id="unpadded-row-off"),
+        pytest.param("4 3\n2 6\n2 2 2 2\n3 6 -1\n1 2\n1 2\n1 3\n2 3\n1 2 3\n1 2 4 3 4\n",
+                     "alist row does not match its declared degree", id="negative-degree"),
+        pytest.param(FOUR_PADDED.replace("1 2 3\n1 2 4", "1 2 4\n1 2 3"),
+                     "alist variable and check adjacency disagree", id="adjacency-disagrees"),
+        pytest.param(SMALL_ALIST.replace("1 2\n1 2\n1 2\n", "1 2\n1 2\n1 1\n"),
+                     "duplicate edge in adjacency", id="duplicate-edge"),
+        pytest.param(SMALL_ALIST.replace("1 2\n1 2\n1 2\n", "1 2\n1 2\n1 3\n"),
+                     "check index out of range", id="check-out-of-range"),
+        pytest.param("3 2\n2 3\n1 2 2\n3 2\n1 0\n1 2\n1 2\n1 2 3\n2 3 0\n",
+                     "variable 0 has degree 1; minimum is 2", id="variable-degree-1"),
+        pytest.param("4 3\n2 4\n2 2 2 2\n4 4 0\n" + "1 2\n" * 4
+                     + "1 2 3 4\n1 2 3 4\n0 0 0 0\n",
+                     "every check must have at least one edge", id="check-without-edge"),
+    ])
+    def test_malformed_raises(self, tmp_path, text, match):
+        path = tmp_path / "bad.alist"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=match):
+            load_alist(str(path))
 
 
 class TestDecoder:
