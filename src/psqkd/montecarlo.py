@@ -11,12 +11,13 @@ linear rescaling converts records taken at one tap transmittance into a
 postselection for another, without new quantum data.
 
 Sampling is chunked; each chunk owns an independent child stream of the run
-seed and chunk sums are reduced with compensated summation, so results are
-bitwise reproducible regardless of how chunks are scheduled.  Acceptance is
-decided in cache-sized blocks of _BLOCK rows: each block draws its uniforms
-and evaluates the filter in place in small buffers, so no chunk-sized
-temporary is made and the bits equal one uniform array compared against
-filter_q.
+seed and chunk sums are reduced in chunk order with compensated summation,
+so results are bitwise reproducible regardless of how chunks are scheduled.
+A run that keeps no records draws its chunks on one thread per usable CPU,
+each into buffers allocated once per run.  Acceptance is decided in
+cache-sized blocks of _BLOCK rows: each block draws its uniforms and
+evaluates the filter in place in small buffers, so no chunk-sized temporary
+is made and the bits equal one uniform array compared against filter_q.
 collect_accepted_pairs draws accepted pairs from their closed-form law
 instead, so they are not a prefix of run_experiment's accepted stream.
 
@@ -42,6 +43,8 @@ from __future__ import annotations
 import functools
 import gzip
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -218,15 +221,19 @@ class RescaleSpec:
 
 
 def _chunk_sums(x, p, y, acc) -> tuple[float, ...]:
-    """Accepted count and raw sums (xx, yy, xy, x, p) of one chunk.
+    """Accepted count and raw sums (xx, yy, xy, x, p) of one chunk."""
+    idx = np.flatnonzero(acc)
+    return _packed_sums(x.take(idx), y.take(idx), float(p.take(idx).sum()))
+
+
+def _packed_sums(xs, ys, sum_p) -> tuple[float, ...]:
+    """_chunk_sums from the accepted x_a and x_b, in order, and the p_a sum.
 
     The products are summed by einsum, not by a BLAS dot, whose threaded
     summation order can change the last bits with the thread count."""
-    idx = np.flatnonzero(acc)
-    xs, ps, ys = x.take(idx), p.take(idx), y.take(idx)
-    return (float(idx.size), float(np.einsum("i,i->", xs, xs)),
+    return (float(xs.size), float(np.einsum("i,i->", xs, xs)),
             float(np.einsum("i,i->", ys, ys)), float(np.einsum("i,i->", xs, ys)),
-            float(xs.sum()), float(ps.sum()))
+            float(xs.sum()), sum_p)
 
 
 def _estimate(sums: list[tuple[float, ...]], n_samples: int) -> MomentEstimate:
@@ -271,48 +278,147 @@ def _receiver(src: SourceSpec, ch: ChannelSpec) -> tuple[float, float]:
             math.sqrt(1.0 + ch.t_c * ch.epsilon))
 
 
-def _accept(rng, src: SourceSpec, x, p):
-    """Bool mask of accepted rows: a uniform draw below filter_q(x, p, src).
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+def _block_buffers(n: int) -> tuple[np.ndarray, ...]:
+    """The three float buffers that _accept_into and _draw_chunk work in."""
+    return tuple(np.empty(min(n, _BLOCK)) for _ in range(3))
+
+
+def _accept_into(rng, src: SourceSpec, x, p, acc, blocks, pack=False) -> int:
+    """Write into acc the rows a uniform draw below filter_q(x, p, src) accepts.
 
     Works in blocks of _BLOCK rows, drawing each block's uniforms with
-    rng.random into one reused buffer and the filter into two more.
-    rng.random gives the doubles of rng.uniform(size=x.size) (one 64-bit
-    draw each, and 0 + 1 d = d), block after block, so the stream and the
-    mask are those of rng.uniform(size=x.size) < filter_q(x, p, src).
+    rng.random into the first of the three blocks buffers and the filter
+    into the other two.  rng.random gives the doubles of
+    rng.uniform(size=x.size) (one 64-bit draw each, and 0 + 1 d = d), block
+    after block, so the stream and the mask are those of
+    rng.uniform(size=x.size) < filter_q(x, p, src).  With pack, each
+    block's accepted rows of x and p then move to their fronts, where they
+    only cover rows already decided, and the count of accepted rows is
+    returned: x[:count] and p[:count] hold them in order.
     """
     n = x.size
-    acc = np.empty(n, dtype=bool)
-    u, q, scratch = (np.empty(min(n, _BLOCK)) for _ in range(3))
+    u, q, scratch = blocks
+    count = 0
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         m = hi - lo
         rng.random(out=u[:m])
         _filter_into(x[lo:hi], p[lo:hi], src, q[:m], scratch[:m])
-        np.less(u[:m], q[:m], out=acc[lo:hi])
-    return acc
+        mask = acc[lo:hi]
+        np.less(u[:m], q[:m], out=mask)
+        if pack:
+            xs, ps = x[lo:hi].compress(mask), p[lo:hi].compress(mask)
+            x[count:count + xs.size] = xs
+            p[count:count + xs.size] = ps
+            count += xs.size
+    return count
 
 
-def _rounds(src: SourceSpec, ch: ChannelSpec, sizes, seed: int):
-    """Yield (x_a, p_a, x_b, accepted) for each chunk size in turn.
+def _normal_into(rng, sd: float, out) -> None:
+    """Fill out with the doubles of rng.normal(0.0, sd, out.size).
 
-    Chunk i draws from child i of SeedSequence(seed), in the order x_a,
-    p_a, the acceptance uniforms, then the receiver noise, so every caller
-    sees the same rounds for the same seed and chunk layout.  The generator
-    drops its own references to a chunk once the caller takes it, so a
-    caller that keeps no chunk holds one chunk's arrays at a time.
+    rng.normal computes 0.0 + sd z from each standard normal z; the + 0.0
+    turns a -0.0 product into 0.0 as it does."""
+    rng.standard_normal(out=out)
+    out *= sd
+    out += 0.0
+
+
+def _draw_chunk(rng, src: SourceSpec, ch: ChannelSpec, x, p, acc, blocks,
+                y=None) -> tuple[float, ...]:
+    """Draw one chunk of rounds into x, p, acc and y; return its _chunk_sums.
+
+    The draws come in the order x_a, p_a, the acceptance uniforms, then the
+    receiver noise, so every caller sees the same rounds for the same seed
+    and chunk layout.  Acceptance and the noise go block by block through
+    the three blocks buffers.  With y, the four arrays end as the chunk's
+    records.  Without it the chunk is packed as it is decided: the accepted
+    x_a and p_a move to the fronts of x and p, and once the p_a are summed
+    the accepted x_b are written over them, so no x_b column is made.
     """
     het_sd = math.sqrt((src.v + 1.0) / 2.0)
     mean_coef, noise_sd = _receiver(src, ch)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    for child, size in zip(children, sizes):
-        rng = np.random.default_rng(child)
-        # Two chunk-sized arrays, not one (2, size) block: the same stream,
-        # but the block raised the protocol workload's peak RSS by ~30 MB.
-        x, p = [rng.normal(0.0, het_sd, size) for _ in range(2)]
-        acc = _accept(rng, src, x, p)
-        y = mean_coef * x + rng.normal(0.0, noise_sd, size)
-        yield x, p, y, acc
-        del x, p, y, acc
+    _normal_into(rng, het_sd, x)
+    _normal_into(rng, het_sd, p)
+    pack = y is None
+    n_acc = _accept_into(rng, src, x, p, acc, blocks, pack)
+    if pack:
+        # the accepted x_b go over the packed p_a once those are summed
+        sum_p = float(p[:n_acc].sum())
+        y = p
+    noise = blocks[2]
+    done = 0
+    for lo in range(0, x.size, _BLOCK):
+        hi = min(lo + _BLOCK, x.size)
+        z = noise[:hi - lo]
+        _normal_into(rng, noise_sd, z)
+        if pack:
+            z = z.compress(acc[lo:hi])
+            rows = slice(done, done + z.size)
+            done += z.size
+        else:
+            rows = slice(lo, hi)
+        # x_b = mean_coef x_a + noise, rounded step by step as
+        # mean_coef * x + noise rounds
+        np.multiply(mean_coef, x[rows], out=y[rows])
+        y[rows] += z
+    if pack:
+        return _packed_sums(x[:n_acc], y[:n_acc], sum_p)
+    return _chunk_sums(x, p, y, acc)
+
+
+def _stream(src: SourceSpec, ch: ChannelSpec, sizes, children) -> list[tuple[float, ...]]:
+    """The packed _draw_chunk sums of every chunk, drawn on several threads.
+
+    min(usable CPUs, chunks) workers run, the calling thread as worker 0.
+    Each takes the next chunk index under one lock and stores that chunk's
+    sums at its index, so the list, and the estimate reduced from
+    it in chunk order, are the same for any worker count and schedule.
+    Each worker draws into its own buffers, which the calling thread
+    allocates once: x, p and the mask of one chunk and three blocks
+    buffers, ~17 MB at full chunk size.  NumPy's draws and array steps
+    release the GIL, so the workers draw side by side.  An error in any
+    worker stops the others after their chunk and is raised here.
+    """
+    sums = [None] * len(sizes)
+    order, lock = iter(range(len(sizes))), threading.Lock()
+    errors = []
+
+    def work(x, p, acc, blocks):
+        try:
+            while not errors:
+                with lock:
+                    i = next(order, None)
+                if i is None:
+                    return
+                rows = slice(0, sizes[i])
+                sums[i] = _draw_chunk(np.random.default_rng(children[i]), src, ch,
+                                      x[rows], p[rows], acc[rows], blocks)
+        except BaseException as exc:
+            errors.append(exc)
+
+    size = sizes[0]
+    buffers = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+                _block_buffers(size)) for _ in range(min(_usable_cpus(), len(sizes)))]
+    threads = [threading.Thread(target=work, args=b, daemon=True) for b in buffers[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(*buffers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return sums
 
 
 def run_experiment(src: SourceSpec, ch: ChannelSpec, n_samples: int, seed: int,
@@ -325,23 +431,30 @@ def run_experiment(src: SourceSpec, ch: ChannelSpec, n_samples: int, seed: int,
     is x_b = sqrt(2 t t_c) lam x_a + noise with noise variance
     1 + t_c epsilon, its exact conditional law.  Identical seeds give
     identical streams; keep_records=False drops the columns (streaming sums
-    only), which large runs want.
+    only), which large runs want, and draws the chunks on one worker per
+    usable CPU with the same result.
     """
     if n_samples < 10_000:
         raise DomainError(f"n_samples must be >= 10000, got {n_samples}")
     sizes = [min(_CHUNK, n_samples - lo) for lo in range(0, n_samples, _CHUNK)]
+    # chunk i draws from child i of the seed
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    if not keep_records:
+        estimate = _estimate(_stream(src, ch, sizes, children), n_samples)
+        return ExperimentResult(records=None, estimate=estimate)
+    blocks = _block_buffers(sizes[0])
     sums, kept = [], []
-    for chunk in _rounds(src, ch, sizes, seed):
-        sums.append(_chunk_sums(*chunk))
-        if keep_records:
-            kept.append(chunk)
-        del chunk
-
+    for child, size in zip(children, sizes):
+        # separate chunk-sized arrays: one (2, size) block of x_a and p_a
+        # raised the protocol workload's peak RSS by ~30 MB
+        x, p, y = (np.empty(size) for _ in range(3))
+        acc = np.empty(size, dtype=bool)
+        sums.append(_draw_chunk(np.random.default_rng(child), src, ch, x, p, acc,
+                                blocks, y))
+        kept.append((x, p, y, acc))
     estimate = _estimate(sums, n_samples)
-    records = None
-    if keep_records:
-        x, p, y, acc = (np.concatenate(col) for col in zip(*kept))
-        records = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y)
+    x, p, y, acc = (np.concatenate(col) for col in zip(*kept))
+    records = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y)
     return ExperimentResult(records=records, estimate=estimate)
 
 
@@ -383,7 +496,9 @@ def rescale_and_filter(records: ExperimentRecords, spec: RescaleSpec, k: int,
     src = SourceSpec.k_photon(spec.v_prime, spec.eta, k)
     x = spec.g * records.x_a
     p = spec.g * records.p_a
-    acc = _accept(np.random.default_rng(np.random.SeedSequence(seed)), src, x, p)
+    acc = np.empty(x.size, dtype=bool)
+    _accept_into(np.random.default_rng(np.random.SeedSequence(seed)), src, x, p, acc,
+                 _block_buffers(x.size))
     out = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=records.x_b)
     return out, _estimate([_chunk_sums(x, p, records.x_b, acc)], len(records))
 

@@ -80,15 +80,6 @@ class LdpcCode:
         return out & 1
 
     @classmethod
-    def from_adjacency(cls, n: int, m: int, var_lists) -> "LdpcCode":
-        """Build from per-variable check lists, validating the graph."""
-        if len(var_lists) != n:
-            raise DomainError(f"expected {n} adjacency lists, got {len(var_lists)}")
-        chks = [np.asarray(c, dtype=np.int32) for c in var_lists]
-        return cls._from_var_major(n, m, np.array([c.size for c in chks], dtype=np.int64),
-                                   np.concatenate(chks) if chks else np.empty(0, np.int32))
-
-    @classmethod
     def _from_var_major(cls, n: int, m: int, degs, var_chks) -> "LdpcCode":
         """Build from every variable's checks laid end to end in variable
         order (degs of them each), validating the graph."""

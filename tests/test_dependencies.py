@@ -1,5 +1,6 @@
 """The package imports only the standard library, NumPy and itself, and
-its CLI does not pull in the standard library's hashing modules."""
+its CLI does not pull in the standard library's hashing or thread-pool
+modules."""
 
 import ast
 import os
@@ -29,13 +30,23 @@ def test_package_imports_only_stdlib_and_numpy():
     assert not foreign, sorted(foreign)
 
 
-def test_cli_import_loads_no_hashing_modules():
-    # the auto seed comes from os.urandom: secrets would load hashlib and
-    # OpenSSL's _hashlib, a few ms of every CLI start
-    code = ("import sys, psqkd.cli; "
-            "print(sorted({'secrets', 'hashlib', '_hashlib'} & set(sys.modules)))")
+def modules_loaded_by_cli_import(names):
+    """Those of names that importing psqkd.cli leaves in sys.modules."""
+    code = f"import sys, psqkd.cli; print(sorted({set(names)!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_hashing_modules():
+    # the auto seed comes from os.urandom: secrets would load hashlib and
+    # OpenSSL's _hashlib, a few ms of every CLI start
+    assert modules_loaded_by_cli_import({"secrets", "hashlib", "_hashlib"}) == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the streaming sampler starts plain threads inside run_experiment; an
+    # executor would add concurrent.futures to every CLI start
+    assert modules_loaded_by_cli_import({"concurrent.futures"}) == "[]"

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from dataclasses import astuple
@@ -887,10 +888,72 @@ class TestAcceptanceKernel:
         assert_bit_identical(out, want_out)
         assert estimate_bits(est) == estimate_bits(want_est)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("src", KERNEL_SOURCES, ids=KERNEL_IDS)
+    def test_streaming_run_matches_reference(self, src, n, workers, monkeypatch):
+        # packed chunks drawn on any number of workers give the bits of the
+        # kept columns reduced in chunk order
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        ch = ChannelSpec(t_c=0.5, epsilon=0.02)
+        res = run_experiment(src, ch, n, seed=41, keep_records=False)
+        want_est = reference_run(src, ch, n, seed=41)[1]
+        assert estimate_bits(res.estimate) == estimate_bits(want_est)
+
+    def test_error_in_any_chunk_reaches_the_caller(self, monkeypatch):
+        # whichever worker draws the failing chunk, run_experiment raises its
+        # error once every worker has stopped
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        draw = montecarlo._draw_chunk
+
+        def draw_or_fail(rng, src, ch, x, *args):
+            if x.size == 4321:
+                raise MemoryError("chunk of 4321 rows")
+            return draw(rng, src, ch, x, *args)
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", draw_or_fail)
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="4321 rows"):
+            run_experiment(src, IDEAL, (2 << 20) + 4321, seed=1, keep_records=False)
+        assert threading.active_count() == threads
+
+    def test_normal_draws_keep_the_sign_of_zero(self):
+        # rng.normal(0, sd) returns 0.0 + sd z, so a z of -0.0 gives 0.0; an
+        # MT19937 state whose next 64-bit output is 0x101 makes the ziggurat
+        # return -0.0 (layer 1, sign bit set, zero mantissa)
+        def untemper(y):
+            # MT19937's output tempering, inverted step by step
+            y ^= y >> 18
+            y ^= (y << 15) & 0xEFC60000
+            x = y
+            for _ in range(4):
+                x = y ^ ((x << 7) & 0x9D2C5680)
+            y = x
+            for _ in range(2):
+                x = y ^ (x >> 11)
+            return x & 0xFFFFFFFF
+
+        def zero_first():
+            bits = np.random.MT19937(0)
+            state = bits.state
+            state["state"]["key"][:2] = [untemper(0), untemper(0x101)]
+            state["state"]["pos"] = 0
+            bits.state = state
+            return np.random.Generator(bits)
+
+        assert math.copysign(1.0, zero_first().standard_normal()) == -1.0
+        want = zero_first().normal(0.0, 2.5, 5)
+        got = np.empty(5)
+        montecarlo._normal_into(zero_first(), 2.5, got)
+        assert got.tobytes() == want.tobytes()
+        assert math.copysign(1.0, got[0]) == 1.0
+
     def test_streaming_run_holds_one_chunk(self):
-        # three chunks, none kept: the generator must release each chunk
-        # before drawing the next, and acceptance must make no chunk-sized
-        # temporaries (whole-array uniforms and filter steps made 7.2 chunks)
+        # three chunks, none kept: each worker draws every chunk it takes
+        # into one chunk's x_a, p_a and mask, allocated once per run, and
+        # acceptance makes no chunk-sized temporaries (whole-array uniforms
+        # and filter steps made 7.2 chunks)
         src = SourceSpec.k_photon(20.0, 0.8, 1)
         chunk_bytes = 8 << 20
         tracemalloc.start()
@@ -900,6 +963,23 @@ class TestAcceptanceKernel:
         finally:
             tracemalloc.stop()
         assert peak < 5 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
+
+    def test_two_workers_stay_under_the_one_chunk_bound(self, monkeypatch):
+        # two workers each hold one chunk's buffers (~4.4 chunk arrays in
+        # all) and give the estimate of one worker
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        want = run_experiment(src, IDEAL, 3 << 20, seed=3, keep_records=False).estimate
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        chunk_bytes = 8 << 20
+        tracemalloc.start()
+        try:
+            got = run_experiment(src, IDEAL, 3 << 20, seed=3, keep_records=False).estimate
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
+        assert estimate_bits(got) == estimate_bits(want)
 
     def test_rescale_peak_memory(self):
         # the rescaled x_a and p_a are the only column-sized arrays it makes
