@@ -13,11 +13,12 @@ postselection for another, without new quantum data.
 Sampling is chunked; each chunk owns an independent child stream of the run
 seed and chunk sums are reduced in chunk order with compensated summation,
 so results are bitwise reproducible regardless of how chunks are scheduled.
-A run that keeps no records draws its chunks on one thread per usable CPU,
-each into buffers allocated once per run.  Acceptance is decided in
-cache-sized blocks of _BLOCK rows: each block draws its uniforms and
-evaluates the filter in place in small buffers, so no chunk-sized temporary
-is made and the bits equal one uniform array compared against filter_q.
+A run that keeps no records draws its chunks on up to two threads, one per
+usable CPU, each into buffers allocated once per run.  Acceptance is
+decided in cache-sized blocks of _BLOCK rows: each block draws its
+uniforms and evaluates the filter in place in small buffers, so no
+chunk-sized temporary is made and the bits equal one uniform array
+compared against filter_q.
 collect_accepted_pairs draws accepted pairs from their closed-form law
 instead, so they are not a prefix of run_experiment's accepted stream.
 
@@ -55,6 +56,9 @@ from .gaussian import ChannelSpec, TwoModeCovariance
 from .subtraction import SCHEME_ON_OFF, SourceSpec, _filter_coefficient, _filter_into
 
 _CHUNK = 1 << 20
+# Most threads a streaming run draws on.  Each holds ~17 MB of buffers, and
+# two is the count whose speed and peak memory have been measured.
+_MAX_WORKERS = 2
 # Rows per acceptance block: three float buffers of 128 KB stay in L2.
 _BLOCK = 1 << 14
 # Rows formatted per write by export_records.  A chunk's row matrix and
@@ -287,39 +291,31 @@ def _usable_cpus() -> int:
 
 
 def _block_buffers(n: int) -> tuple[np.ndarray, ...]:
-    """The three float buffers that _accept_into and _draw_chunk work in."""
+    """The three float buffers that the acceptance and noise steps work in."""
     return tuple(np.empty(min(n, _BLOCK)) for _ in range(3))
 
 
-def _accept_into(rng, src: SourceSpec, x, p, acc, blocks, pack=False) -> int:
-    """Write into acc the rows a uniform draw below filter_q(x, p, src) accepts.
+def _accept_block(rng, src: SourceSpec, x, p, mask, blocks) -> None:
+    """Write into mask the rows of one block that a uniform below filter_q accepts.
 
-    Works in blocks of _BLOCK rows, drawing each block's uniforms with
-    rng.random into the first of the three blocks buffers and the filter
-    into the other two.  rng.random gives the doubles of
-    rng.uniform(size=x.size) (one 64-bit draw each, and 0 + 1 d = d), block
-    after block, so the stream and the mask are those of
-    rng.uniform(size=x.size) < filter_q(x, p, src).  With pack, each
-    block's accepted rows of x and p then move to their fronts, where they
-    only cover rows already decided, and the count of accepted rows is
-    returned: x[:count] and p[:count] hold them in order.
+    The uniforms go into the first of the three blocks buffers and the
+    filter into the other two.  rng.random gives the doubles of
+    rng.uniform(size=x.size) (one 64-bit draw each, and 0 + 1 d = d), so
+    blocks drawn in order give the stream and the mask of one
+    rng.uniform draw over the whole array compared against filter_q.
     """
-    n = x.size
-    u, q, scratch = blocks
-    count = 0
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        m = hi - lo
-        rng.random(out=u[:m])
-        _filter_into(x[lo:hi], p[lo:hi], src, q[:m], scratch[:m])
-        mask = acc[lo:hi]
-        np.less(u[:m], q[:m], out=mask)
-        if pack:
-            xs, ps = x[lo:hi].compress(mask), p[lo:hi].compress(mask)
-            x[count:count + xs.size] = xs
-            p[count:count + xs.size] = ps
-            count += xs.size
-    return count
+    m = x.size
+    u, q, scratch = (b[:m] for b in blocks)
+    rng.random(out=u)
+    _filter_into(x, p, src, q, scratch)
+    np.less(u, q, out=mask)
+
+
+def _accept_into(rng, src: SourceSpec, x, p, acc, blocks) -> None:
+    """Write into acc, block by block, the rows _accept_block accepts."""
+    for lo in range(0, x.size, _BLOCK):
+        hi = min(lo + _BLOCK, x.size)
+        _accept_block(rng, src, x[lo:hi], p[lo:hi], acc[lo:hi], blocks)
 
 
 def _normal_into(rng, sd: float, out) -> None:
@@ -332,88 +328,119 @@ def _normal_into(rng, sd: float, out) -> None:
     out += 0.0
 
 
-def _draw_chunk(rng, src: SourceSpec, ch: ChannelSpec, x, p, acc, blocks,
-                y=None) -> tuple[float, ...]:
-    """Draw one chunk of rounds into x, p, acc and y; return its _chunk_sums.
-
-    The draws come in the order x_a, p_a, the acceptance uniforms, then the
-    receiver noise, so every caller sees the same rounds for the same seed
-    and chunk layout.  Acceptance and the noise go block by block through
-    the three blocks buffers.  With y, the four arrays end as the chunk's
-    records.  Without it the chunk is packed as it is decided: the accepted
-    x_a and p_a move to the fronts of x and p, and once the p_a are summed
-    the accepted x_b are written over them, so no x_b column is made.
-    """
+def _draw_sender(rng, src: SourceSpec, x, p) -> None:
+    """Draw the sender's x_a into x, then p_a into p: each chunk's first draws."""
     het_sd = math.sqrt((src.v + 1.0) / 2.0)
-    mean_coef, noise_sd = _receiver(src, ch)
     _normal_into(rng, het_sd, x)
     _normal_into(rng, het_sd, p)
-    pack = y is None
-    n_acc = _accept_into(rng, src, x, p, acc, blocks, pack)
-    if pack:
-        # the accepted x_b go over the packed p_a once those are summed
-        sum_p = float(p[:n_acc].sum())
-        y = p
+
+
+def _draw_chunk(rng, src: SourceSpec, ch: ChannelSpec, x, p, y, acc,
+                blocks) -> tuple[float, ...]:
+    """Draw one chunk of records into x, p, y and acc; return its _chunk_sums.
+
+    The draws come in the order x_a, p_a, the acceptance uniforms, then the
+    receiver noise of every row, block by block through the three blocks
+    buffers; _draw_packed keeps this order.
+    """
+    _draw_sender(rng, src, x, p)
+    _accept_into(rng, src, x, p, acc, blocks)
+    mean_coef, noise_sd = _receiver(src, ch)
     noise = blocks[2]
-    done = 0
     for lo in range(0, x.size, _BLOCK):
         hi = min(lo + _BLOCK, x.size)
         z = noise[:hi - lo]
         _normal_into(rng, noise_sd, z)
-        if pack:
-            z = z.compress(acc[lo:hi])
-            rows = slice(done, done + z.size)
-            done += z.size
-        else:
-            rows = slice(lo, hi)
         # x_b = mean_coef x_a + noise, rounded step by step as
         # mean_coef * x + noise rounds
-        np.multiply(mean_coef, x[rows], out=y[rows])
-        y[rows] += z
-    if pack:
-        return _packed_sums(x[:n_acc], y[:n_acc], sum_p)
+        np.multiply(mean_coef, x[lo:hi], out=y[lo:hi])
+        y[lo:hi] += z
     return _chunk_sums(x, p, y, acc)
 
 
-def _stream(src: SourceSpec, ch: ChannelSpec, sizes, children) -> list[tuple[float, ...]]:
-    """The packed _draw_chunk sums of every chunk, drawn on several threads.
+def _draw_packed(rng, src: SourceSpec, ch: ChannelSpec, x, p, acc,
+                 blocks) -> tuple[float, ...]:
+    """The _chunk_sums of _draw_chunk's rounds, made in x, p and acc only.
 
-    min(usable CPUs, chunks) workers run, the calling thread as worker 0.
-    Each takes the next chunk index under one lock and stores that chunk's
-    sums at its index, so the list, and the estimate reduced from
-    it in chunk order, are the same for any worker count and schedule.
+    Each block's accepted x_a and p_a move to the fronts of x and p as it
+    is decided, covering only rows already decided.  Once the packed p_a
+    are summed, the accepted x_b are written over them, so no x_b column
+    is made.  The draws are _draw_chunk's, in its order.
+    """
+    _draw_sender(rng, src, x, p)
+    n_acc = 0
+    for lo in range(0, x.size, _BLOCK):
+        hi = min(lo + _BLOCK, x.size)
+        mask = acc[lo:hi]
+        _accept_block(rng, src, x[lo:hi], p[lo:hi], mask, blocks)
+        # compress copies, so the write may overlap the block it reads
+        xs, ps = x[lo:hi].compress(mask), p[lo:hi].compress(mask)
+        x[n_acc:n_acc + xs.size] = xs
+        p[n_acc:n_acc + xs.size] = ps
+        n_acc += xs.size
+    sum_p = float(p[:n_acc].sum())
+    mean_coef, noise_sd = _receiver(src, ch)
+    noise, y, done = blocks[2], p, 0
+    for lo in range(0, x.size, _BLOCK):
+        hi = min(lo + _BLOCK, x.size)
+        z = noise[:hi - lo]
+        _normal_into(rng, noise_sd, z)
+        z = z.compress(acc[lo:hi])
+        rows = slice(done, done + z.size)
+        done += z.size
+        np.multiply(mean_coef, x[rows], out=y[rows])
+        y[rows] += z
+    return _packed_sums(x[:n_acc], y[:n_acc], sum_p)
+
+
+def _stream(src: SourceSpec, ch: ChannelSpec, sizes, children) -> list[tuple[float, ...]]:
+    """The _draw_packed sums of every chunk, drawn on up to _MAX_WORKERS threads.
+
+    min(usable CPUs, _MAX_WORKERS, chunks) workers run, the calling thread
+    as worker 0.  Each takes the next chunk index under one lock and stores
+    that chunk's sums at its index, so the list, and the estimate reduced
+    from it in chunk order, are the same for any worker count and schedule.
     Each worker draws into its own buffers, which the calling thread
     allocates once: x, p and the mask of one chunk and three blocks
     buffers, ~17 MB at full chunk size.  NumPy's draws and array steps
-    release the GIL, so the workers draw side by side.  An error in any
-    worker stops the others after their chunk and is raised here.
+    release the GIL, so the workers draw side by side.  However the
+    calling thread leaves, by an error in any worker or an interrupt, the
+    other workers stop after their current chunk; a thread's error is
+    raised here unless the calling thread's own is already on its way.
     """
     sums = [None] * len(sizes)
     order, lock = iter(range(len(sizes))), threading.Lock()
-    errors = []
+    stop, errors = threading.Event(), []
 
     def work(x, p, acc, blocks):
+        while not stop.is_set():
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            rows = slice(0, sizes[i])
+            sums[i] = _draw_packed(np.random.default_rng(children[i]), src, ch,
+                                   x[rows], p[rows], acc[rows], blocks)
+
+    def work_in_thread(*buffers):
         try:
-            while not errors:
-                with lock:
-                    i = next(order, None)
-                if i is None:
-                    return
-                rows = slice(0, sizes[i])
-                sums[i] = _draw_chunk(np.random.default_rng(children[i]), src, ch,
-                                      x[rows], p[rows], acc[rows], blocks)
+            work(*buffers)
         except BaseException as exc:
             errors.append(exc)
+            stop.set()
 
     size = sizes[0]
     buffers = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool),
-                _block_buffers(size)) for _ in range(min(_usable_cpus(), len(sizes)))]
-    threads = [threading.Thread(target=work, args=b, daemon=True) for b in buffers[1:]]
+                _block_buffers(size))
+               for _ in range(min(_usable_cpus(), _MAX_WORKERS, len(sizes)))]
+    threads = [threading.Thread(target=work_in_thread, args=b, daemon=True)
+               for b in buffers[1:]]
     for thread in threads:
         thread.start()
     try:
         work(*buffers[0])
     finally:
+        stop.set()
         for thread in threads:
             thread.join()
     if errors:
@@ -432,7 +459,7 @@ def run_experiment(src: SourceSpec, ch: ChannelSpec, n_samples: int, seed: int,
     1 + t_c epsilon, its exact conditional law.  Identical seeds give
     identical streams; keep_records=False drops the columns (streaming sums
     only), which large runs want, and draws the chunks on one worker per
-    usable CPU with the same result.
+    usable CPU, two at most, with the same result.
     """
     if n_samples < 10_000:
         raise DomainError(f"n_samples must be >= 10000, got {n_samples}")
@@ -449,8 +476,8 @@ def run_experiment(src: SourceSpec, ch: ChannelSpec, n_samples: int, seed: int,
         # raised the protocol workload's peak RSS by ~30 MB
         x, p, y = (np.empty(size) for _ in range(3))
         acc = np.empty(size, dtype=bool)
-        sums.append(_draw_chunk(np.random.default_rng(child), src, ch, x, p, acc,
-                                blocks, y))
+        sums.append(_draw_chunk(np.random.default_rng(child), src, ch, x, p, y, acc,
+                                blocks))
         kept.append((x, p, y, acc))
     estimate = _estimate(sums, n_samples)
     x, p, y, acc = (np.concatenate(col) for col in zip(*kept))

@@ -904,19 +904,89 @@ class TestAcceptanceKernel:
         # whichever worker draws the failing chunk, run_experiment raises its
         # error once every worker has stopped
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        draw = montecarlo._draw_chunk
+        draw = montecarlo._draw_packed
 
         def draw_or_fail(rng, src, ch, x, *args):
             if x.size == 4321:
                 raise MemoryError("chunk of 4321 rows")
             return draw(rng, src, ch, x, *args)
 
-        monkeypatch.setattr(montecarlo, "_draw_chunk", draw_or_fail)
+        monkeypatch.setattr(montecarlo, "_draw_packed", draw_or_fail)
         src = SourceSpec.k_photon(20.0, 0.8, 1)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="4321 rows"):
             run_experiment(src, IDEAL, (2 << 20) + 4321, seed=1, keep_records=False)
         assert threading.active_count() == threads
+
+    def test_many_small_chunks_on_more_workers_than_cores(self, monkeypatch):
+        # 64 chunks shared by 4 workers, switching threads every microsecond:
+        # each chunk is drawn exactly once, by its own child stream, and the
+        # estimate keeps the bits of one worker
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 14)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        want = run_experiment(src, IDEAL, 1 << 20, seed=9, keep_records=False).estimate
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_MAX_WORKERS", 4)
+        draw, drawn = montecarlo._draw_packed, []
+
+        def draw_and_record(rng, *args):
+            drawn.append(rng.bit_generator.seed_seq.spawn_key)
+            return draw(rng, *args)
+
+        monkeypatch.setattr(montecarlo, "_draw_packed", draw_and_record)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_experiment(src, IDEAL, 1 << 20, seed=9, keep_records=False).estimate
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(drawn) == [(i,) for i in range(64)]
+        assert estimate_bits(got) == estimate_bits(want)
+
+    def test_interrupt_stops_the_other_worker(self, monkeypatch):
+        # a Ctrl-C in the calling thread reaches the caller, and the other
+        # worker draws at most the chunk it holds instead of the rest
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        draw = montecarlo._draw_packed
+        interrupted = threading.Event()
+        drawn = []
+
+        def draw_or_interrupt(*args):
+            if threading.current_thread() is threading.main_thread():
+                interrupted.set()
+                raise KeyboardInterrupt
+            assert interrupted.wait(10.0)
+            drawn.append(args[3].size)
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "_draw_packed", draw_or_interrupt)
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(src, IDEAL, 5 << 20, seed=1, keep_records=False)
+        assert threading.active_count() == threads
+        assert len(drawn) <= 1
+
+    def test_interrupt_outranks_an_earlier_thread_error(self, monkeypatch):
+        # the calling thread's own exception is the one raised, even when
+        # another worker failed first
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        drawing, failed = threading.Event(), threading.Event()
+
+        def fail_or_interrupt(*args):
+            if threading.current_thread() is threading.main_thread():
+                drawing.set()
+                assert failed.wait(10.0)
+                raise KeyboardInterrupt
+            assert drawing.wait(10.0)
+            failed.set()
+            raise MemoryError("worker 1")
+
+        monkeypatch.setattr(montecarlo, "_draw_packed", fail_or_interrupt)
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(src, IDEAL, 2 << 20, seed=1, keep_records=False)
 
     def test_normal_draws_keep_the_sign_of_zero(self):
         # rng.normal(0, sd) returns 0.0 + sd z, so a z of -0.0 gives 0.0; an
@@ -980,6 +1050,21 @@ class TestAcceptanceKernel:
             tracemalloc.stop()
         assert peak < 5 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
         assert estimate_bits(got) == estimate_bits(want)
+
+    def test_many_cpus_stay_under_the_one_chunk_bound(self, monkeypatch):
+        # a host with more CPUs than chunks still draws on two workers, so
+        # the 3-chunk run keeps test_streaming_run_holds_one_chunk's bound
+        # (three workers' buffers came to ~6.5 chunk arrays)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 16)
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        chunk_bytes = 8 << 20
+        tracemalloc.start()
+        try:
+            run_experiment(src, IDEAL, 3 << 20, seed=3, keep_records=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
 
     def test_rescale_peak_memory(self):
         # the rescaled x_a and p_a are the only column-sized arrays it makes
