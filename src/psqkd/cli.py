@@ -9,7 +9,7 @@ floats are printed with 9 significant digits, so the same arguments and
 seed always yield byte-identical files.  The header echo of any run can
 be stripped of its ``# `` prefixes and fed back as a ``--config`` file.
 
-Exit codes: 0 on success, 1 on a domain error, 2 on a usage error.
+Exit codes: 0 on success, 1 on a domain or file error, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -97,16 +97,6 @@ def load_config(path: str) -> dict[str, str]:
             return parse_config_lines(fh.read().splitlines())
     except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from None
-
-
-def read_header_params(text: str) -> dict[str, str]:
-    """Recover the parameter echo from an output file's comment header.
-
-    The inverse of the CSV header writer: ``# key=value`` lines go back
-    through the config-file parser, so a saved header replays a run.
-    """
-    lines = [line[2:] for line in text.splitlines() if line.startswith("# ")]
-    return parse_config_lines(lines)
 
 
 def _config_path(argv) -> str | None:
@@ -656,7 +646,7 @@ def main(argv=None) -> int:
             _apply_config(subs[argv[0]], load_config(path))
         args = parser.parse_args(argv)
         return args._run(args)
-    except PsqkdError as exc:
+    except (PsqkdError, OSError) as exc:
         print(f"psqkd: error: {exc}", file=sys.stderr)
         return 1
 

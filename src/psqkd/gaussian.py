@@ -56,21 +56,12 @@ class TwoModeCovariance:
     representable on purpose.  Operations that require physicality check it
     themselves and raise InvalidStateError naming the first failing state.  The
     parameters may be arrays of broadcastable shapes, a batch of states;
-    matrix() and as_tuple() are for single states.
+    as_tuple() is for single states.
     """
 
     v1: float
     v2: float
     phi: float
-
-    def matrix(self) -> np.ndarray:
-        """Return the dense 4x4 covariance matrix in (x1, p1, x2, p2) ordering."""
-        g = np.zeros((4, 4))
-        g[0, 0] = g[1, 1] = self.v1
-        g[2, 2] = g[3, 3] = self.v2
-        g[0, 2] = g[2, 0] = self.phi
-        g[1, 3] = g[3, 1] = -self.phi
-        return g
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.v1, self.v2, self.phi)

@@ -13,12 +13,14 @@ postselection for another, without new quantum data.
 Sampling is chunked; each chunk owns an independent child stream of the run
 seed and chunk sums are reduced in chunk order with compensated summation,
 so results are bitwise reproducible regardless of how chunks are scheduled.
-A run that keeps no records draws its chunks on up to two threads, one per
-usable CPU, each into buffers allocated once per run.  Acceptance is
-decided in cache-sized blocks of _BLOCK rows: each block draws its
-uniforms and evaluates the filter in place in small buffers, so no
-chunk-sized temporary is made and the bits equal one uniform array
-compared against filter_q.
+Every run draws its chunks on up to two threads, one per usable CPU, with
+buffers allocated once per run.  A run that keeps its records draws each
+chunk straight into its rows of the record columns, so its threads hold only
+block buffers, ~0.4 MB each; a streaming run's threads also hold one chunk's
+x_a, p_a and mask, ~17 MB each.  Acceptance is decided in cache-sized blocks
+of _BLOCK rows: each block draws its uniforms and evaluates the filter in
+place in small buffers, so no chunk-sized temporary is made and the bits
+equal one uniform array compared against filter_q.
 collect_accepted_pairs draws accepted pairs from their closed-form law
 instead, so they are not a prefix of run_experiment's accepted stream.
 
@@ -41,7 +43,6 @@ and the whole file when its layout is not the export's or anything fails.
 
 from __future__ import annotations
 
-import functools
 import gzip
 import math
 import os
@@ -56,8 +57,8 @@ from .gaussian import ChannelSpec, TwoModeCovariance
 from .subtraction import SCHEME_ON_OFF, SourceSpec, _filter_coefficient, _filter_into
 
 _CHUNK = 1 << 20
-# Most threads a streaming run draws on.  Each holds ~17 MB of buffers, and
-# two is the count whose speed and peak memory have been measured.
+# Most threads a run draws on.  A streaming run's threads hold ~17 MB of
+# buffers each, and two is the count whose speed and peak memory were measured.
 _MAX_WORKERS = 2
 # Rows per acceptance block: three float buffers of 128 KB stay in L2.
 _BLOCK = 1 << 14
@@ -96,9 +97,9 @@ _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _POW10_LD = np.cumprod(np.full(_FIELD + 1, 10, dtype=np.longdouble)) / 10
 
 
-@functools.cache
 def _format_tables() -> tuple[np.ndarray, ...]:
-    """The formatter's read-only tables, built on first use.
+    """The formatter's read-only tables, built once at import: built on first
+    use in a run, they would land above its arrays and keep them resident.
 
     quad: the four ASCII digits of 0..9999 as one uint32 each; quad_zeros:
     their trailing zeros; keep: the keep-mask of each key ((slot 2 + sign)
@@ -126,6 +127,9 @@ def _format_tables() -> tuple[np.ndarray, ...]:
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+_QUAD, _QUAD_ZEROS, _KEEP, _ROW = _format_tables()
 
 
 @dataclass(frozen=True)
@@ -225,9 +229,11 @@ class RescaleSpec:
 
 
 def _chunk_sums(x, p, y, acc) -> tuple[float, ...]:
-    """Accepted count and raw sums (xx, yy, xy, x, p) of one chunk."""
+    """Accepted count and raw sums (xx, yy, xy, x, p) of one chunk; the p_a
+    sum comes first, so at most three accepted-row arrays are alive, not four."""
     idx = np.flatnonzero(acc)
-    return _packed_sums(x.take(idx), y.take(idx), float(p.take(idx).sum()))
+    sum_p = float(p.take(idx).sum())
+    return _packed_sums(x.take(idx), y.take(idx), sum_p)
 
 
 def _packed_sums(xs, ys, sum_p) -> tuple[float, ...]:
@@ -393,52 +399,44 @@ def _draw_packed(rng, src: SourceSpec, ch: ChannelSpec, x, p, acc,
     return _packed_sums(x[:n_acc], y[:n_acc], sum_p)
 
 
-def _stream(src: SourceSpec, ch: ChannelSpec, sizes, children) -> list[tuple[float, ...]]:
-    """The _draw_packed sums of every chunk, drawn on up to _MAX_WORKERS threads.
+def _stream(sizes, children, draw, buffers) -> list[tuple[float, ...]]:
+    """The sums of every chunk i, drawn as draw(i, rng, buffers[w]) by worker w.
 
-    min(usable CPUs, _MAX_WORKERS, chunks) workers run, the calling thread
-    as worker 0.  Each takes the next chunk index under one lock and stores
-    that chunk's sums at its index, so the list, and the estimate reduced
-    from it in chunk order, are the same for any worker count and schedule.
-    Each worker draws into its own buffers, which the calling thread
-    allocates once: x, p and the mask of one chunk and three blocks
-    buffers, ~17 MB at full chunk size.  NumPy's draws and array steps
-    release the GIL, so the workers draw side by side.  However the
-    calling thread leaves, by an error in any worker or an interrupt, the
-    other workers stop after their current chunk; a thread's error is
-    raised here unless the calling thread's own is already on its way.
+    One worker runs per entry of buffers, the calling thread as worker 0.
+    Each takes the next chunk index i under one lock, draws the chunk from
+    child i of the seed with its own buffers and stores its sums at i, so the
+    list, and the estimate reduced from it in chunk order, are the same for
+    any worker count and schedule.  NumPy's draws and array steps release
+    the GIL, so the workers draw side by side.  However the calling thread
+    leaves, by an error in any worker or an interrupt, the other workers
+    stop after their current chunk; a thread's error is raised here unless
+    the calling thread's own is already on its way.
     """
     sums = [None] * len(sizes)
     order, lock = iter(range(len(sizes))), threading.Lock()
     stop, errors = threading.Event(), []
 
-    def work(x, p, acc, blocks):
+    def work(worker_buffers):
         while not stop.is_set():
             with lock:
                 i = next(order, None)
             if i is None:
                 return
-            rows = slice(0, sizes[i])
-            sums[i] = _draw_packed(np.random.default_rng(children[i]), src, ch,
-                                   x[rows], p[rows], acc[rows], blocks)
+            sums[i] = draw(i, np.random.default_rng(children[i]), worker_buffers)
 
-    def work_in_thread(*buffers):
+    def work_in_thread(worker_buffers):
         try:
-            work(*buffers)
+            work(worker_buffers)
         except BaseException as exc:
             errors.append(exc)
             stop.set()
 
-    size = sizes[0]
-    buffers = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool),
-                _block_buffers(size))
-               for _ in range(min(_usable_cpus(), _MAX_WORKERS, len(sizes)))]
-    threads = [threading.Thread(target=work_in_thread, args=b, daemon=True)
+    threads = [threading.Thread(target=work_in_thread, args=(b,), daemon=True)
                for b in buffers[1:]]
     for thread in threads:
         thread.start()
     try:
-        work(*buffers[0])
+        work(buffers[0])
     finally:
         stop.set()
         for thread in threads:
@@ -458,30 +456,36 @@ def run_experiment(src: SourceSpec, ch: ChannelSpec, n_samples: int, seed: int,
     is x_b = sqrt(2 t t_c) lam x_a + noise with noise variance
     1 + t_c epsilon, its exact conditional law.  Identical seeds give
     identical streams; keep_records=False drops the columns (streaming sums
-    only), which large runs want, and draws the chunks on one worker per
-    usable CPU, two at most, with the same result.
+    only), which large runs want.  Either way the chunks are drawn on one
+    worker per usable CPU, two at most, with the same result.
     """
     if n_samples < 10_000:
         raise DomainError(f"n_samples must be >= 10000, got {n_samples}")
     sizes = [min(_CHUNK, n_samples - lo) for lo in range(0, n_samples, _CHUNK)]
-    # chunk i draws from child i of the seed
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    if not keep_records:
-        estimate = _estimate(_stream(src, ch, sizes, children), n_samples)
-        return ExperimentResult(records=None, estimate=estimate)
-    blocks = _block_buffers(sizes[0])
-    sums, kept = [], []
-    for child, size in zip(children, sizes):
-        # separate chunk-sized arrays: one (2, size) block of x_a and p_a
-        # raised the protocol workload's peak RSS by ~30 MB
-        x, p, y = (np.empty(size) for _ in range(3))
-        acc = np.empty(size, dtype=bool)
-        sums.append(_draw_chunk(np.random.default_rng(child), src, ch, x, p, y, acc,
-                                blocks))
-        kept.append((x, p, y, acc))
-    estimate = _estimate(sums, n_samples)
-    x, p, y, acc = (np.concatenate(col) for col in zip(*kept))
-    records = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y)
+    workers = range(min(_usable_cpus(), _MAX_WORKERS, len(sizes)))
+    size = sizes[0]
+    if keep_records:
+        # separate columns: one (2, n) block of x_a and p_a raised the
+        # protocol workload's peak RSS by ~30 MB
+        x, p, y = (np.empty(n_samples) for _ in range(3))
+        acc = np.empty(n_samples, dtype=bool)
+
+        def draw(i, rng, blocks):
+            rows = slice(i * _CHUNK, i * _CHUNK + sizes[i])
+            return _draw_chunk(rng, src, ch, x[rows], p[rows], y[rows], acc[rows], blocks)
+
+        buffers = [_block_buffers(size) for _ in workers]
+    else:
+        def draw(i, rng, worker_buffers):
+            rows = slice(0, sizes[i])
+            x, p, acc, blocks = worker_buffers
+            return _draw_packed(rng, src, ch, x[rows], p[rows], acc[rows], blocks)
+
+        buffers = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+                    _block_buffers(size)) for _ in workers]
+    estimate = _estimate(_stream(sizes, children, draw, buffers), n_samples)
+    records = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y) if keep_records else None
     return ExperimentResult(records=records, estimate=estimate)
 
 
@@ -587,26 +591,25 @@ def _format_rows(x_a, p_a, accepted, x_b) -> bytes:
     fast = (a >= 1e-4) & (a < 1e16)
     a[~fast] = 1.0
     d, x = _decimal_digits(a)
-    quad, quad_zeros, keep_table, row_bytes = _format_tables()
     hi, lo = (d // 10**8).astype(np.uint32), (d % 10**8).astype(np.uint32)
     # D as one leading digit and four groups of four, each group one uint32
     # of ASCII digits; the leading "0000" makes the row "0000" + D
     groups = (hi // 10**8, hi // 10**4 % 10**4, hi % 10**4, lo // 10**4, lo % 10**4)
     quads = np.empty((3 * n, 6), dtype=np.uint32)
-    quads[:, 0] = quad[0]
+    quads[:, 0] = _QUAD[0]
     for col, g in enumerate(groups, 1):
-        quads[:, col] = quad[g]
+        quads[:, col] = _QUAD[g]
     # trailing zeros of D, group by group from the right (d0 is not 0)
-    zeros = quad_zeros[groups[4]]
+    zeros = _QUAD_ZEROS[groups[4]]
     for i, g in enumerate(groups[3:0:-1], 1):
         more = np.flatnonzero(zeros == 4 * i)
-        zeros[more] += quad_zeros[g[more]]
+        zeros[more] += _QUAD_ZEROS[g[more]]
     key = (((np.arange(3 * n) % 3) * 2 + np.signbit(v)) * 21 + x + 4) * 18 + 17 - zeros
     rows = np.empty((n, 3 * _SLOT), dtype=np.uint8)
-    rows[:] = row_bytes
+    rows[:] = _ROW
     rows.reshape(3 * n, _SLOT)[:, 1:43:2] = quads.view(np.uint8)[:, 3:]
     rows[:, _SLOT + 44] += accepted.view(np.uint8)
-    keep = keep_table.take(key, axis=0).reshape(n, 3 * _SLOT)
+    keep = _KEEP.take(key, axis=0).reshape(n, 3 * _SLOT)
     text = np.compress(keep.ravel(), rows.ravel()).tobytes()
     if fast.all():
         return text
@@ -652,7 +655,6 @@ def export_records(records: ExperimentRecords, path: str) -> None:
                                   records.accepted[rows], records.x_b[rows]))
 
 
-@functools.cache
 def _field_masks() -> np.ndarray:
     """The reader's word masks: row z (_FIELD + 1) + p keeps the low nibble
     of each byte of a _FIELD-byte field but its first z bytes and its byte
@@ -664,6 +666,9 @@ def _field_masks() -> np.ndarray:
     masks = keep.view("<u8").reshape(-1, _FIELD // 8)
     masks.flags.writeable = False
     return masks
+
+
+_FIELD_MASKS = _field_masks()
 
 
 def _field_digits(field, skip, point):
@@ -678,7 +683,7 @@ def _field_digits(field, skip, point):
     for a top word below 100, and is then below 1.01e18.  field is
     overwritten."""
     v = field.view("<u8")
-    v &= _field_masks().take(skip * (_FIELD + 1) + point, axis=0)
+    v &= _FIELD_MASKS.take(skip * (_FIELD + 1) + point, axis=0)
     v *= 10 << 8 | 1
     v >>= 8
     v &= 0x00FF00FF00FF00FF

@@ -441,7 +441,10 @@ def load_alist(path: str) -> LdpcCode:
     """Read an alist file (padded or unpadded variant)."""
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt") as fh:
-        tokens = np.array(fh.read().split(), dtype=np.int64)
+        try:
+            tokens = np.array(fh.read().split(), dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise DomainError(f"malformed alist file {path}: token not a 64-bit integer") from None
     if tokens.size < 2:
         raise DomainError(f"truncated alist file {path}")
     n, m = tokens[:2].tolist()

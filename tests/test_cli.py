@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from psqkd import cli
-from psqkd.cli import build_parser, main, parse_config_lines, read_header_params
+from psqkd.cli import build_parser, main, parse_config_lines
 from psqkd.errors import DomainError
 from psqkd.montecarlo import load_records
 from psqkd.reconciliation import peg_construct, save_alist
@@ -52,6 +52,13 @@ SMALL_ARGV = {
     "bench": ["--code-n", "512", "--blocks", "2", "--seed", "7"],
     "beta": ["--rate", "0.1", "--snr", "0.1626"],
 }
+
+
+def read_header_params(text):
+    """The parameter echo of an output file's comment header: its ``# key=value``
+    lines through the config-file parser, so a saved header replays a run."""
+    return parse_config_lines([line[2:] for line in text.splitlines()
+                               if line.startswith("# ")])
 
 
 def run_to_file(tmp_path, argv, name="out.txt"):
@@ -237,6 +244,29 @@ class TestExitCodes:
     def test_domain_error_exit_code(self, capsys):
         assert main(["keyrate", "--v", "0.5", "--dist", "10"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing_alist", "alist_non_integer",
+                                      "alist_above_int64", "missing_records",
+                                      "out_into_missing_dir", "export_into_missing_dir"])
+    def test_bad_file_exits_1_with_an_error_line(self, case, tmp_path, capsys):
+        # a file that cannot be read, parsed or written ends in one error
+        # line and exit 1, not a traceback
+        alist = tmp_path / "code.alist"
+        alist.write_text({"alist_non_integer": "8 4\n3 6\n1.5\n",
+                          "alist_above_int64": "8 4\n3 9223372036854775808\n"}.get(case, ""))
+        missing = str(tmp_path / "missing" / "file.txt")
+        bench = ["bench", "--code-n", "512", "--blocks", "1", "--seed", "1"]
+        argv = {
+            "missing_alist": bench + ["--alist", missing, "--data", "gaussian"],
+            "alist_non_integer": bench + ["--alist", str(alist), "--data", "gaussian"],
+            "alist_above_int64": bench + ["--alist", str(alist), "--data", "gaussian"],
+            "missing_records": bench + ["--records", missing, "--data", "postselected"],
+            "out_into_missing_dir": ["keyrate", "--k", "1", "--dist", "10", "--out", missing],
+            "export_into_missing_dir": ["montecarlo", "--k", "1", "--dist", "50",
+                                        "--n", "20000", "--seed", "1", "--export", missing],
+        }[case]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("psqkd: error: ")
 
     def test_too_few_rounds(self):
         assert main(["montecarlo", "--k", "1", "--tc", "0.5", "--n", "100",

@@ -1,9 +1,11 @@
-"""The package imports only the standard library, NumPy and itself, and
-its CLI does not pull in the standard library's hashing or thread-pool
-modules."""
+"""The package imports only the standard library, NumPy and itself, its
+CLI does not pull in the standard library's hashing or thread-pool modules,
+and it builds no table on first use."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +52,18 @@ def test_cli_import_loads_no_thread_pool():
     # the streaming sampler starts plain threads inside run_experiment; an
     # executor would add concurrent.futures to every CLI start
     assert modules_loaded_by_cli_import({"concurrent.futures"}) == "[]"
+
+
+def test_no_first_use_caches():
+    # a table built on first use during a run lands above that run's arrays
+    # in the heap and keeps them resident once they are freed, so tables
+    # are module constants built at import
+    import psqkd
+    for info in pkgutil.walk_packages(psqkd.__path__, "psqkd."):
+        importlib.import_module(info.name)
+    cached = sorted(f"{key}.{name}" for key, module in list(sys.modules.items())
+                    if module is not None and key.split(".")[0] == "psqkd"
+                    for name, value in vars(module).items()
+                    if callable(getattr(value, "cache_clear", None)))
+    assert not cached, ("first-use caches keep a run's freed arrays resident; "
+                        f"build these at import: {cached}")

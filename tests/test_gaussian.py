@@ -29,9 +29,19 @@ OMEGA = np.array(
 )
 
 
+def cov_matrix(cov):
+    """The dense 4x4 covariance matrix in (x1, p1, x2, p2) ordering."""
+    g = np.zeros((4, 4))
+    g[0, 0] = g[1, 1] = cov.v1
+    g[2, 2] = g[3, 3] = cov.v2
+    g[0, 2] = g[2, 0] = cov.phi
+    g[1, 3] = g[3, 1] = -cov.phi
+    return g
+
+
 def symplectic_oracle(cov):
     """Independent spectrum: moduli of eig(i Omega gamma), deduplicated."""
-    eig = np.linalg.eigvals(1j * OMEGA @ cov.matrix())
+    eig = np.linalg.eigvals(1j * OMEGA @ cov_matrix(cov))
     mods = np.sort(np.abs(eig))
     # Each symplectic eigenvalue appears twice.
     return mods[3], mods[1]

@@ -864,10 +864,18 @@ KERNEL_IDS = [f"{s.scheme}-k{s.k}-eta{s.eta_d}" for s in KERNEL_SOURCES]
 KERNEL_SIZES = [10_000, 100_000, 1 << 20, (1 << 20) + 4321]
 
 
+# the chunk kernel each kind of run draws through, by keep_records
+DRAWS = {True: "_draw_chunk", False: "_draw_packed"}
+
+
 class TestAcceptanceKernel:
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     @pytest.mark.parametrize("src", KERNEL_SOURCES, ids=KERNEL_IDS)
-    def test_run_matches_reference(self, src, n):
+    def test_run_matches_reference(self, src, n, workers, monkeypatch):
+        # kept chunks drawn on any number of workers into their rows of the
+        # columns give the reference's records and estimate
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
         ch = ChannelSpec(t_c=0.5, epsilon=0.02)
         res = run_experiment(src, ch, n, seed=41)
         want_recs, want_est = reference_run(src, ch, n, seed=41)
@@ -900,22 +908,23 @@ class TestAcceptanceKernel:
         want_est = reference_run(src, ch, n, seed=41)[1]
         assert estimate_bits(res.estimate) == estimate_bits(want_est)
 
-    def test_error_in_any_chunk_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_error_in_any_chunk_reaches_the_caller(self, keep, monkeypatch):
         # whichever worker draws the failing chunk, run_experiment raises its
         # error once every worker has stopped
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        draw = montecarlo._draw_packed
+        draw = getattr(montecarlo, DRAWS[keep])
 
         def draw_or_fail(rng, src, ch, x, *args):
             if x.size == 4321:
                 raise MemoryError("chunk of 4321 rows")
             return draw(rng, src, ch, x, *args)
 
-        monkeypatch.setattr(montecarlo, "_draw_packed", draw_or_fail)
+        monkeypatch.setattr(montecarlo, DRAWS[keep], draw_or_fail)
         src = SourceSpec.k_photon(20.0, 0.8, 1)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="4321 rows"):
-            run_experiment(src, IDEAL, (2 << 20) + 4321, seed=1, keep_records=False)
+            run_experiment(src, IDEAL, (2 << 20) + 4321, seed=1, keep_records=keep)
         assert threading.active_count() == threads
 
     def test_many_small_chunks_on_more_workers_than_cores(self, monkeypatch):
@@ -944,11 +953,12 @@ class TestAcceptanceKernel:
         assert sorted(drawn) == [(i,) for i in range(64)]
         assert estimate_bits(got) == estimate_bits(want)
 
-    def test_interrupt_stops_the_other_worker(self, monkeypatch):
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_interrupt_stops_the_other_worker(self, keep, monkeypatch):
         # a Ctrl-C in the calling thread reaches the caller, and the other
         # worker draws at most the chunk it holds instead of the rest
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        draw = montecarlo._draw_packed
+        draw = getattr(montecarlo, DRAWS[keep])
         interrupted = threading.Event()
         drawn = []
 
@@ -960,11 +970,11 @@ class TestAcceptanceKernel:
             drawn.append(args[3].size)
             return draw(*args)
 
-        monkeypatch.setattr(montecarlo, "_draw_packed", draw_or_interrupt)
+        monkeypatch.setattr(montecarlo, DRAWS[keep], draw_or_interrupt)
         src = SourceSpec.k_photon(20.0, 0.8, 1)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            run_experiment(src, IDEAL, 5 << 20, seed=1, keep_records=False)
+            run_experiment(src, IDEAL, 5 << 20, seed=1, keep_records=keep)
         assert threading.active_count() == threads
         assert len(drawn) <= 1
 
@@ -1065,6 +1075,24 @@ class TestAcceptanceKernel:
         finally:
             tracemalloc.stop()
         assert peak < 5 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
+
+    def test_kept_run_holds_one_copy_of_its_records(self, monkeypatch):
+        # three kept chunks on two workers: each chunk is drawn straight into
+        # its rows of the columns, and nothing else column-sized is made
+        # (per-chunk arrays joined by np.concatenate held two copies).  The
+        # rest is each worker's block buffers and accepted-row gathers, up
+        # to 0.13 copies when both workers sum their chunks at once
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        src = SourceSpec.k_photon(20.0, 0.8, 1)
+        n = 3 << 20
+        record_bytes = 25 * n  # x_a, p_a and x_b as float64, accepted as bool
+        tracemalloc.start()
+        try:
+            run_experiment(src, IDEAL, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * record_bytes, f"peak {peak / record_bytes:.2f} records"
 
     def test_rescale_peak_memory(self):
         # the rescaled x_a and p_a are the only column-sized arrays it makes
