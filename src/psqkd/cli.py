@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -198,6 +199,19 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would most likely
+    raise, without creating or truncating it, so that a bad --out or
+    --export fails before any work runs."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _emit(args, params, columns, rows, report=None) -> int:
@@ -645,6 +659,9 @@ def main(argv=None) -> int:
         if path is not None and argv and argv[0] in subs:
             _apply_config(subs[argv[0]], load_config(path))
         args = parser.parse_args(argv)
+        for path in (args.out, getattr(args, "export", None)):
+            if path:
+                _check_writable(path)
         return args._run(args)
     except (PsqkdError, OSError) as exc:
         print(f"psqkd: error: {exc}", file=sys.stderr)

@@ -268,6 +268,27 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("psqkd: error: ")
 
+    @pytest.mark.parametrize("flag", ["--out", "--export"])
+    def test_bad_output_path_fails_before_any_work(self, flag, tmp_path, capsys, monkeypatch):
+        # an output into a missing directory is reported before a round is
+        # drawn, with the error line opening the file would give
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment reached")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        path = str(tmp_path / "missing" / "r.txt")
+        argv = ["montecarlo", "--k", "1", "--dist", "50", "--n", "10000000", "--seed", "5",
+                flag, path]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            f"psqkd: error: [Errno 2] No such file or directory: {path!r}\n"
+
+    def test_failed_work_keeps_an_existing_out_file(self, tmp_path):
+        out = tmp_path / "rate.json"
+        out.write_text("kept\n")
+        assert main(["keyrate", "--v", "0.5", "--dist", "10", "--out", str(out)]) == 1
+        assert out.read_text() == "kept\n"
+
     def test_too_few_rounds(self):
         assert main(["montecarlo", "--k", "1", "--tc", "0.5", "--n", "100",
                      "--seed", "1"]) == 1

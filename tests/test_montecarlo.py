@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mc_bands import SE_INFLATION, cov_within
 
@@ -62,6 +62,13 @@ from psqkd.subtraction import (
 
 IDEAL = ChannelSpec(t_c=1.0, epsilon=0.0)
 BAND = 3.0 * SE_INFLATION
+
+
+@pytest.fixture(params=[1, 2])
+def codec_workers(request, monkeypatch):
+    """Export and load on one worker and on two, by the usable CPUs reported."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: request.param)
+    return request.param
 
 
 def analytic_cov(src, ch):
@@ -471,9 +478,11 @@ class TestRecordsIO:
             with pytest.raises(ValueError):
                 col[0] = 2.0
 
-    def test_load_peak_memory(self, tmp_path):
+    def test_load_peak_memory(self, tmp_path, monkeypatch):
         # the columns are views of the one loaded block, so a load holds the
-        # record data once; a contiguous copy of the columns would double it
+        # record data once; a contiguous copy of the columns would double it.
+        # Two workers each hold one block's text and parse arrays
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         n = 200_000
         rng = np.random.default_rng(3)
         recs = ExperimentRecords(x_a=rng.standard_normal(n), p_a=rng.standard_normal(n),
@@ -490,9 +499,11 @@ class TestRecordsIO:
         assert len(back) == n
         assert peak < 1.5 * column_bytes, f"peak {peak / column_bytes:.2f}x the column bytes"
 
-    def test_export_peak_memory(self):
-        # rows are formatted chunk by chunk: the peak is a chunk's working
-        # set, not the file's text (~16 MB here)
+    def test_export_peak_memory(self, monkeypatch):
+        # rows are formatted chunk by chunk: the peak is two workers' chunk
+        # buffers and a window of chunk texts, not the file's text (~16 MB
+        # here)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         n = 1 << 18
         x, p, acc, y = gaussian_records(n, seed=4)
         recs = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y)
@@ -554,6 +565,7 @@ FALLBACK_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan,
                    9.9999999999999991e-05, -1e-5, 1e16, 1e300]
 
 
+@pytest.mark.usefixtures("codec_workers")
 class TestExportMatchesReference:
     @pytest.mark.parametrize("n", [1, _IO_CHUNK - 1, _IO_CHUNK, _IO_CHUNK + 1,
                                    3 * _IO_CHUNK + 17])
@@ -710,6 +722,7 @@ def edge_record_sets(draw):
     )
 
 
+@pytest.mark.usefixtures("codec_workers")
 class TestExactLoader:
     @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
     @pytest.mark.parametrize("case", list(PARITY_CASES))
@@ -718,7 +731,8 @@ class TestExactLoader:
         write_text(path, PARITY_CASES[case])
         assert_loads_like_reference(str(path))
 
-    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(recs=edge_record_sets())
     def test_round_trip_matches_loadtxt_loader(self, recs):
         with tempfile.TemporaryDirectory() as tmp:
@@ -771,6 +785,78 @@ class TestExactLoader:
         monkeypatch.setattr(montecarlo.np, "loadtxt", spy)
         assert_bit_identical(load_records(str(path)), recs)
         assert seen == [exponents]
+
+
+class TestCodecWorkers:
+    """Failures inside export_records' and load_records' worker threads."""
+
+    @pytest.mark.parametrize("failing", ["calling", "other"])
+    def test_error_in_either_export_worker_reaches_the_caller(self, failing, monkeypatch,
+                                                               tmp_path):
+        # whichever worker formats the failing chunk, export_records raises
+        # its error once both workers have stopped; the calling thread waits
+        # until the other worker holds a chunk, so each takes one
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        format_rows, other_started = montecarlo._format_rows, threading.Event()
+
+        def format_or_fail(*args):
+            calling = threading.current_thread() is threading.main_thread()
+            if calling:
+                assert other_started.wait(10.0)
+            else:
+                other_started.set()
+            if calling == (failing == "calling"):
+                raise MemoryError(f"{failing} worker")
+            return format_rows(*args)
+
+        monkeypatch.setattr(montecarlo, "_format_rows", format_or_fail)
+        x, p, acc, y = gaussian_records(40 * _IO_CHUNK, seed=6)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match=f"{failing} worker"):
+            export_records(ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y),
+                           str(tmp_path / "r.txt"))
+        assert threading.active_count() == threads
+
+    def test_interrupt_stops_the_other_export_worker(self, monkeypatch, tmp_path):
+        # a Ctrl-C in the calling thread reaches the caller, and the other
+        # worker formats at most the chunk it holds instead of the rest
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        format_rows, interrupted, formatted = montecarlo._format_rows, threading.Event(), []
+
+        def format_or_interrupt(*args):
+            if threading.current_thread() is threading.main_thread():
+                interrupted.set()
+                raise KeyboardInterrupt
+            assert interrupted.wait(10.0)
+            formatted.append(len(args[0]))
+            return format_rows(*args)
+
+        monkeypatch.setattr(montecarlo, "_format_rows", format_or_interrupt)
+        x, p, acc, y = gaussian_records(40 * _IO_CHUNK, seed=6)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            export_records(ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y),
+                           str(tmp_path / "r.txt"))
+        assert threading.active_count() == threads
+        assert len(formatted) <= 1
+
+    @pytest.mark.parametrize("bad", ["0.1 abc 1 0.3\n", "0.1 0.2 1\n"],
+                             ids=["non-numeric", "three-fields"])
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    def test_malformed_line_in_the_second_block(self, bad, suffix, monkeypatch, tmp_path):
+        # a bad line in the second block read, which the second worker
+        # parses, sends the file to np.loadtxt, whose error is raised
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        x, p, acc, y = gaussian_records(3 * montecarlo._READ_BLOCK // 40, seed=7)
+        path = tmp_path / ("records" + suffix)
+        export_records(ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y), str(path))
+        text = gzip.decompress(path.read_bytes()) if suffix == ".txt.gz" else path.read_bytes()
+        at = text.index(b"\n", montecarlo._READ_BLOCK + 1000) + 1
+        end = text.index(b"\n", at) + 1
+        text = text[:at] + bad.encode() + text[end:]
+        path.write_bytes(gzip.compress(text) if suffix == ".txt.gz" else text)
+        kind, message = assert_loads_like_reference(str(path))
+        assert kind == "DomainError" and "malformed record file" in message
 
 
 def test_reductions_do_not_depend_on_blas_threads():

@@ -20,21 +20,27 @@ Over random (v, t, k, eta_d, distance, epsilon):
 - the record formatter prints the bytes of "%.17g" for any float: signed
   zeros, subnormals, inf, nan and huge values, every double within 2000
   ulps of a power of ten in its fixed-notation range, and binary fractions
-  that are exact decimal ties at 17 digits.
+  that are exact decimal ties at 17 digits, with or without long double;
+- records exported and loaded again, on one worker or two, .txt or .gz,
+  come back bit for bit at lengths around the export's chunk and window
+  edges, with zeros, subnormals, inf, nan and exponent forms at random rows.
 
 Regression tests check that a single out-of-range or non-physical element
 of a batch still raises: vectorisation drops no check.
 """
 
 import math
+import tempfile
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_montecarlo import reference_filter_q
+from test_montecarlo import FALLBACK_VALUES, assert_bit_identical, reference_filter_q
 
 from psqkd.analysis import pipeline_key_rate, tolerable_excess_noise
 from psqkd.errors import DomainError, InvalidStateError, PsqkdError, SingularityError
@@ -46,7 +52,17 @@ from psqkd.gaussian import (
     key_rate_homodyne,
     symplectic_eigenvalues,
 )
-from psqkd.montecarlo import _format_rows, collect_accepted_pairs
+from psqkd import montecarlo
+from psqkd.montecarlo import (
+    _IO_CHUNK,
+    _IO_WINDOW,
+    ExperimentRecords,
+    _format_buffers,
+    _format_rows,
+    collect_accepted_pairs,
+    export_records,
+    load_records,
+)
 from psqkd.subtraction import (
     SourceSpec,
     _filter_into,
@@ -254,13 +270,15 @@ def percent_rows(x_a, p_a, accepted, x_b):
 
 def assert_prints_percent_17g(values):
     # every value in each float column, with the verdicts alternating; rows
-    # go in 4096 at a time, as export_records passes them in chunks
+    # go in 4096 at a time into one set of buffers, as export_records passes
+    # chunks to a worker
     v = np.asarray(values, dtype=float)
     acc = np.arange(v.size) % 2 == 1
     cols = (v, -v[::-1], acc, v[::-1].copy())
+    buffers = _format_buffers(min(v.size, 4096))
     for lo in range(0, v.size, 4096):
         chunk = [col[lo:lo + 4096] for col in cols]
-        assert _format_rows(*chunk) == percent_rows(*chunk)
+        assert _format_rows(*chunk, buffers) == percent_rows(*chunk)
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 2.5e-310, math.inf,
@@ -298,6 +316,43 @@ def test_record_formatter_rounds_decimal_ties_to_even():
         digits = Decimal(v).as_tuple().digits
         assert len(digits) == 18 and digits[-1] == 5, v
     assert_prints_percent_17g(np.concatenate([values, -values]))
+
+
+def test_record_formatter_without_long_double(monkeypatch):
+    # where long double is a double, every value takes the exact integer
+    # path, which prints the same bytes
+    monkeypatch.setattr(montecarlo, "_WIDE", False)
+    rng = np.random.default_rng(18)
+    values = np.concatenate([rng.normal(0.0, 3.0, 4000), SPECIAL_FLOATS,
+                             [np.nextafter(10.0 ** e, 0.0) for e in range(-4, 17)]])
+    assert_prints_percent_17g(np.concatenate([values, -values]))
+
+
+@st.composite
+def chunk_edge_records(draw):
+    """Gaussian records of a length within two rows of one or more export
+    chunks or windows, with the values the formatter leaves to % at random
+    rows of each float column."""
+    chunks = draw(st.sampled_from([1, 2, _IO_WINDOW, _IO_WINDOW + 1]))
+    n = chunks * _IO_CHUNK + draw(st.integers(-2, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, p, y = rng.normal(0.0, 3.0, (3, n))
+    for col in (x, p, y):
+        rows = draw(st.lists(st.integers(0, n - 1), max_size=4))
+        col[rows] = draw(st.lists(st.sampled_from(FALLBACK_VALUES), min_size=len(rows),
+                                  max_size=len(rows)))
+    return ExperimentRecords(x_a=x, p_a=p, accepted=rng.random(n) < 0.3, x_b=y)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(recs=chunk_edge_records(), workers=st.sampled_from([1, 2]))
+def test_export_then_load_gives_the_records_bit_for_bit(recs, workers):
+    with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers), \
+            tempfile.TemporaryDirectory() as tmp:
+        for name in ("r.txt", "r.txt.gz"):
+            path = str(Path(tmp) / name)
+            export_records(recs, path)
+            assert_bit_identical(load_records(path), recs)
 
 
 @ORACLE
