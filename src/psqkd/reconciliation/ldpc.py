@@ -115,17 +115,20 @@ class LdpcCode:
                    check_ptr=check_ptr)
 
 
-def fold_columns(ufunc, values, cols, dtype=None) -> np.ndarray:
+def fold_columns(ufunc, values, cols, out=None) -> np.ndarray:
     """ufunc folded across the column slices of values, first column first.
 
     Entry r of the result combines entry r of every column long enough to
     have one; the first column is the longest, and the result has its
-    length and the given dtype (values' by default)."""
-    acc = values[cols[0]].astype(dtype or values.dtype)
+    length.  The fold runs in out, whose dtype it keeps, or in a new array
+    of values' dtype."""
+    if out is None:
+        out = np.empty(cols[0].stop - cols[0].start, dtype=values.dtype)
+    np.copyto(out, values[cols[0]])
     for col in cols[1:]:
-        head = acc[:col.stop - col.start]
+        head = out[:col.stop - col.start]
         ufunc(head, values[col], out=head)
-    return acc
+    return out
 
 
 def _columns(deg):
@@ -179,8 +182,13 @@ class SlotLayout:
         c2v = np.empty(code.n_edges, dtype=np.intp)
         for j, col in enumerate(var_cols):
             c2v[col] = by_var[first[:col.stop - col.start] + j]
-        for arr in (chk_order, var_order, sv, c2v):
-            arr.flags.writeable = False
+        # read-only views of writeable arrays: np.take copies a read-only
+        # index array on every call, so decode_syndrome gathers through the
+        # views' bases
+        views = [arr.view() for arr in (chk_order, var_order, sv, c2v)]
+        for view in views:
+            view.flags.writeable = False
+        chk_order, var_order, sv, c2v = views
         return cls(chk_order, chk_cols, var_order, var_cols, sv, c2v)
 
 

@@ -110,16 +110,21 @@ def snr_estimate(x, y) -> float:
     return rho2 / (1.0 - rho2)
 
 
+def block_llr(x_blocks, alpha, snr_est: float) -> np.ndarray:
+    """Alice's LLRs for one block: rotate, then scale by the channel model."""
+    x_unit = _unit_blocks(x_blocks, "query")
+    if alpha is None or np.asarray(alpha).shape != x_unit.shape:
+        raise DomainError("rotation coefficients must match block shape")
+    v = apply_rotation(alpha, x_unit)
+    mu = mu_of_snr(float(snr_est))
+    return llr_scale(mu) * v.ravel()
+
+
 def decode(x_blocks, alpha, syndrome, code: LdpcCode, snr_est: float,
            max_iter: int = 200):
     """Alice's decoding pass: rotate, model LLRs, run syndrome decoding.
 
     Returns (bits, iterations) with bits None on failure.
     """
-    x_unit = _unit_blocks(x_blocks, "query")
-    if alpha is None or np.asarray(alpha).shape != x_unit.shape:
-        raise DomainError("rotation coefficients must match block shape")
-    v = apply_rotation(alpha, x_unit)
-    mu = mu_of_snr(float(snr_est))
-    llr = llr_scale(mu) * v.ravel()
-    return decode_syndrome(code, llr, syndrome, max_iter=max_iter)
+    return decode_syndrome(code, block_llr(x_blocks, alpha, snr_est), syndrome,
+                           max_iter=max_iter)

@@ -3,13 +3,17 @@ and the bench harness at desk scale."""
 
 import hashlib
 import heapq
+import importlib
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from psqkd import montecarlo
 from psqkd.analysis import beta_from_rate_snr
 from psqkd.cli import PEG_PROFILE
 from psqkd.errors import DegenerateBlockError, DomainError
@@ -34,10 +38,13 @@ from psqkd.reconciliation import (
     snr_estimate,
 )
 from psqkd.reconciliation import rotation
-from psqkd.reconciliation.ldpc import LdpcCode, _degree_sequence, fold_columns
+from psqkd.reconciliation.bp import Workspace
+from psqkd.reconciliation.ldpc import LdpcCode, SlotLayout, _degree_sequence, fold_columns
 from psqkd.subtraction import SourceSpec, covariance_subtracted
 
 PROFILE = {2: 0.2, 3: 0.7, 6: 0.1}
+# the module; psqkd.reconciliation.bench is the function it exports
+bench_module = importlib.import_module("psqkd.reconciliation.bench")
 
 
 @pytest.fixture(scope="module")
@@ -605,6 +612,151 @@ class TestBench:
             gaussian_pairs(0.0, 100, seed=1)
         with pytest.raises(DomainError):
             gaussian_pairs(0.5, 0, seed=1)
+
+
+def workers(monkeypatch, cpus):
+    """cpus usable CPUs, and worker threads for codes of any size."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(bench_module, "_PARALLEL_EDGES", 0)
+
+
+@pytest.fixture(scope="module")
+def code32k():
+    # ~101 600 edges, above bench's _PARALLEL_EDGES
+    return peg_construct(1 << 15, (1 << 15) - round(0.1 * (1 << 15)), PROFILE, seed=11)
+
+
+class TestBenchWorkers:
+    """bench's blocks decoded on one worker and on two."""
+
+    @pytest.mark.parametrize("zero_octet", [None, 2], ids=["decoding", "degenerate-middle"])
+    def test_two_workers_give_the_one_worker_report(self, zero_octet, code2048, monkeypatch):
+        # five blocks, two rounds of two and one of one; at snr 0.35 one
+        # block decodes and four do not.  A zero octet in block 2 skips it,
+        # so the skip count and the order of the snr sum are checked too.
+        # repr compares every field bit for bit, nan included
+        x, y = gaussian_pairs(0.35, 5 * code2048.n, seed=40)
+        if zero_octet is not None:
+            y = y.copy()
+            y[zero_octet * code2048.n:zero_octet * code2048.n + 8] = 0.0
+        reports = []
+        for cpus in (1, 2):
+            workers(monkeypatch, cpus)
+            reports.append(bench(x, y, code2048, 5, seed=41, snr=0.35))
+        one, two = reports
+        assert one.blocks_success == 1
+        assert one.blocks_skipped == (zero_octet is not None)
+        assert repr(two) == repr(one)
+
+    @pytest.mark.parametrize("name, threads", [("code512", 1), ("code32k", 2)])
+    def test_small_codes_decode_on_one_worker(self, name, threads, request, monkeypatch):
+        # two workers slow a code of ~1300 edges down; one of ~101 600 edges
+        # takes both
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        code, stream, widths = request.getfixturevalue(name), bench_module._stream, []
+
+        def counted(tasks, run, buffers, window=None):
+            widths.append(len(buffers))
+            return stream(tasks, run, buffers, window)
+
+        monkeypatch.setattr(bench_module, "_stream", counted)
+        x, y = gaussian_pairs(0.5, 2 * code.n, seed=51)
+        bench(x, y, code, 2, seed=52, snr=0.5)
+        assert set(widths) == {threads}
+
+    def test_two_workers_hold_two_workspaces_and_one_block(self, code32k, monkeypatch):
+        # the calling thread allocates one workspace per worker, ~52 bytes
+        # per symbol (4.2 edge-sized float32 arrays at ~3.1 edges per
+        # symbol), and prepares each round of blocks while no worker
+        # decodes.  The rest of the peak is one block's preparation, at most
+        # 64 bytes per symbol (5.2 edge arrays): five octet arrays of 8 bytes
+        # per symbol at once, its bits drawn as int64 (8) and the round's
+        # block prepared before it (float32 LLRs, bits and syndrome, ~6).
+        # The decode adds nothing.  Workers that prepared their own blocks
+        # and decoded in arrays allocated on every iteration peaked at ~187
+        # bytes per symbol, above this bound's 168
+        workers(monkeypatch, 2)
+        code, n = code32k, code32k.n
+        code.slots
+        x, y = gaussian_pairs(0.1626, 4 * n, seed=43)
+        workspace = sum(a.nbytes for a in vars(Workspace(code)).values()
+                        if isinstance(a, np.ndarray))
+        bound = 2 * workspace + 64 * n
+        edge = 4 * code.n_edges
+        tracemalloc.start()
+        try:
+            bench(x, y, code, 4, seed=44, snr=0.1626)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / edge:.2f} edge arrays, bound {bound / edge:.2f}"
+
+    @pytest.mark.parametrize("failing", ["calling", "other"])
+    def test_error_in_either_worker_reaches_the_caller(self, failing, code512, monkeypatch):
+        # whichever worker decodes the failing block, bench raises its error
+        # once both workers have stopped; the calling thread waits until the
+        # other worker holds a block, so each takes one
+        workers(monkeypatch, 2)
+        real, other_started = bench_module.decode_syndrome, threading.Event()
+
+        def decode_or_fail(*args):
+            calling = threading.current_thread() is threading.main_thread()
+            if calling:
+                assert other_started.wait(10.0)
+            else:
+                other_started.set()
+            if calling == (failing == "calling"):
+                raise MemoryError(f"{failing} worker")
+            return real(*args)
+
+        monkeypatch.setattr(bench_module, "decode_syndrome", decode_or_fail)
+        x, y = gaussian_pairs(0.5, 4 * code512.n, seed=45)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match=f"{failing} worker"):
+            bench(x, y, code512, 4, seed=46)
+        assert threading.active_count() == threads
+
+    def test_interrupt_stops_the_other_worker(self, code512, monkeypatch):
+        # a Ctrl-C in the calling thread reaches the caller, and the other
+        # worker decodes at most the block it holds instead of the rest
+        workers(monkeypatch, 2)
+        real, interrupted, decoded = bench_module.decode_syndrome, threading.Event(), []
+
+        def decode_or_interrupt(*args):
+            if threading.current_thread() is threading.main_thread():
+                interrupted.set()
+                raise KeyboardInterrupt
+            assert interrupted.wait(10.0)
+            decoded.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(bench_module, "decode_syndrome", decode_or_interrupt)
+        x, y = gaussian_pairs(0.5, 6 * code512.n, seed=47)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            bench(x, y, code512, 6, seed=48)
+        assert threading.active_count() == threads
+        assert len(decoded) <= 1
+
+    def test_layout_is_built_once_before_the_workers_start(self, code512, tmp_path,
+                                                           monkeypatch):
+        # a loaded code has no layout yet, and a cached_property takes no
+        # lock on Python 3.12+: bench builds it on the calling thread
+        workers(monkeypatch, 2)
+        path = str(tmp_path / "code.alist")
+        save_alist(code512, path)
+        code = load_alist(path)
+        built, of = [], SlotLayout.of.__func__
+
+        def counted(cls, code):
+            built.append(threading.current_thread() is threading.main_thread())
+            return of(cls, code)
+
+        monkeypatch.setattr(SlotLayout, "of", classmethod(counted))
+        x, y = gaussian_pairs(0.5, 4 * code.n, seed=49)
+        rep = bench(x, y, code, 4, seed=50, snr=0.5)
+        assert built == [True]
+        assert rep.blocks_total == 4
 
 
 # ---------------------------------------------------------------------------
