@@ -1,0 +1,8 @@
+"""``python -m psqkd``: the command-line interface, installed or not."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

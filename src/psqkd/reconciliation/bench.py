@@ -23,12 +23,13 @@ from ..montecarlo import ExperimentRecords, _stream, _worker_count
 from ..subtraction import SourceSpec, covariance_subtracted
 from .bp import Workspace, decode_syndrome
 from .ldpc import LdpcCode
-from .multidim import block_llr, encode_side_info, snr_estimate
+from .multidim import OctetBuffers, block_llr, encode_side_info, snr_estimate
 
 # Codes with fewer edges decode their blocks on one worker.  On a 2-core
-# host two workers took 0.70 of one worker's time at 101 581 edges, were no
-# faster at 50 789 and 1.4-1.7 times slower at 12 699, where the GIL
-# hand-offs between short NumPy steps outweigh the overlap.
+# host (8 blocks at snr 0.1626, median of 5 calls, three processes each),
+# two workers took 0.67-0.70 of one worker's time at 101 581 edges, 0.86-1.31
+# of it at 50 789 and 0.99-1.73 at 12 699, where the GIL hand-offs between
+# short NumPy steps outweigh the overlap.
 _PARALLEL_EDGES = 1 << 16
 
 
@@ -121,8 +122,11 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
     _PARALLEL_EDGES edges.  Each works in its own bp.Workspace, which the
     calling thread allocates once before any worker starts.  The
     calling thread also prepares each round of blocks, one per worker:
-    bits, side information, LLRs and syndrome.  Results are taken in block
-    order, so the report is the same, bit for bit, for any worker count.
+    bits, side information, LLRs and syndrome.  It prepares them in one
+    multidim.OctetBuffers and leaves each block's float32 LLRs in an array
+    of its worker's, all allocated once per call.  Results are taken in
+    block order, so the report is the same, bit for bit, for any worker
+    count.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -145,8 +149,12 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     workers = _worker_count(n_blocks) if code.n_edges >= _PARALLEL_EDGES else 1
     workspaces = [Workspace(code) for _ in range(workers)]
+    # one block's preparation works in these octet arrays, and block j of a
+    # round leaves its LLRs in llrs[j] until its worker decodes them
+    buffers = OctetBuffers(code.n)
+    llrs = [np.empty(code.n, dtype=np.float32) for _ in workspaces]
 
-    def prepared(b):
+    def prepared(b, llr):
         # Bob's bits, the block's snr estimate, Alice's LLRs rounded to
         # float32 as decode_syndrome rounds them, and the syndrome; None
         # for a block with a zero-norm octet
@@ -154,9 +162,9 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
         bits = np.random.default_rng(children[b]).integers(
             0, 2, code.n).astype(np.uint8)
         try:
-            alpha, _ = encode_side_info(y[sl].reshape(-1, 8), bits)
+            alpha, _ = encode_side_info(y[sl].reshape(-1, 8), bits, buffers)
             est = snr_estimate(x[sl], y[sl])
-            llr = block_llr(x[sl].reshape(-1, 8), alpha, est).astype(np.float32)
+            block_llr(x[sl].reshape(-1, 8), alpha, est, buffers, out=llr)
         except DegenerateBlockError:
             return None
         return bits, est, llr, code.syndrome(bits)
@@ -179,7 +187,7 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
         # block and is released before the next is prepared.  Results come
         # in block order, so the sums run in one order for any worker count
         blocks = range(lo, min(lo + len(workspaces), n_blocks))
-        for result in _stream([prepared(b) for b in blocks], decoded,
+        for result in _stream([prepared(b, llr) for b, llr in zip(blocks, llrs)], decoded,
                               workspaces[:len(blocks)]):
             if result is None:
                 skipped += 1

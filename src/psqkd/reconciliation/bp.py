@@ -16,11 +16,18 @@ bool mask per edge, and a few arrays per check and per variable.  Its
 iterations allocate nothing but the few entries that sit on the tanh
 floor.  The edge array t holds the variable-to-check messages, then the
 gathered check-to-variable messages, then the gathered posteriors, which
-are the next iteration's inputs; m_cv holds |t| for the floor test before
-the new messages overwrite it.  A caller decoding many blocks allocates
-one Workspace per thread and passes it to every call, as bench does for
-each of its workers; a call without one allocates its own.  The workspace
-changes no result.
+are the next iteration's inputs; m_cv holds the checks' |product| for the
+floor test, and |t| when that test falls back to scanning the edges,
+before the new messages overwrite it.  A caller decoding many blocks
+allocates one Workspace per thread and passes it to every call, as bench
+does for each of its workers; a call without one allocates its own.  The
+workspace changes no result.
+
+The floor is tested on the per-check products, not on every edge: each
+|t| is at most _TANH_CEIL < 1, so no product is larger in magnitude than
+the least |t| it folds, and when no product is below the floor no edge
+is.  A product below it, or nan, sends the iteration through the edge
+scan and a refold, so every result is that of flooring the edges first.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ def decode_syndrome(code: LdpcCode, llr, syndrome, max_iter: int = 200,
     # and its default mode would copy the result through a temporary
     chk_cols, var_cols, sv, c2v = lay.chk_cols, lay.var_cols, lay.sv.base, lay.c2v.base
     m_cv, t, small = ws.m_cv, ws.t, ws.small
+    prod_abs = m_cv[:code.m]
     prod, syn_sign, s_hat = ws.prod, ws.sign, ws.s_hat
     ranked, acc, total = ws.llr, ws.acc, ws.total
     # checks and variables in rank order from here on
@@ -107,12 +115,17 @@ def decode_syndrome(code: LdpcCode, llr, syndrome, max_iter: int = 200,
         t *= 0.5
         np.tanh(t, out=t)
         np.clip(t, -_TANH_CEIL, _TANH_CEIL, out=t)
-        # m_cv is dead until the divide below writes the new messages
-        np.abs(t, out=m_cv)
-        np.less(m_cv, _TANH_FLOOR, out=small)
-        if small.any():
-            t[small] = np.where(t[small] < 0.0, -_TANH_FLOOR, _TANH_FLOOR)
         fold_columns(np.multiply, t, chk_cols, prod)
+        # no |product| exceeds the least |t| it folds, so only a product
+        # below the floor (or nan) needs the edge scan and a refold; m_cv
+        # is dead until the divide below writes the new messages
+        np.abs(prod, out=prod_abs)
+        if not prod_abs.min() >= _TANH_FLOOR:
+            np.abs(t, out=m_cv)
+            np.less(m_cv, _TANH_FLOOR, out=small)
+            if small.any():
+                t[small] = np.where(t[small] < 0.0, -_TANH_FLOOR, _TANH_FLOOR)
+                fold_columns(np.multiply, t, chk_cols, prod)
         prod *= syn_sign
         for col in chk_cols:
             np.divide(prod[:col.stop - col.start], t[col], out=m_cv[col])

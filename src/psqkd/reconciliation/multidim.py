@@ -35,37 +35,83 @@ _ROOT8 = math.sqrt(8.0)
 _MU_SLOPE = 0.25 * (math.gamma(4.5) / math.gamma(4.0)) ** 2
 
 
-def _bits_to_sphere(bits) -> np.ndarray:
-    """Map bits to sphere coordinates u_i = (1 - 2 b_i)/sqrt(8), (nb, 8)."""
-    bits = np.asarray(bits)
-    if bits.ndim != 1 or bits.size % 8:
-        raise DomainError(f"bit count must be a multiple of 8, got shape {bits.shape}")
-    return ((1.0 - 2.0 * bits.astype(float)) / _ROOT8).reshape(-1, 8)
+class OctetBuffers:
+    """The arrays one block's preparation works in, for blocks of n symbols.
+
+    Three octet arrays of n doubles, each used as (n/8, 8) rows or as the
+    transpose of an (8, n/8) buffer, which apply_rotation reads and writes
+    in place: unit, the normalized block, Bob's in rows and then Alice's
+    transposed; alpha, the rotation coefficients, transposed; and spare,
+    the squares behind each block's norms, then Bob's sphere point u in
+    rows, then Alice's rotated block transposed.  Plus the n/8 block norms.
+    A caller preparing many blocks allocates one and passes it to
+    encode_side_info and block_llr for each block, as bench does; the
+    buffers change no result.  Views they return are valid until the next
+    call with the same buffers.
+    """
+
+    def __init__(self, n: int):
+        if n < 0 or n % 8:
+            raise DomainError(f"block length must be a multiple of 8, got {n}")
+        self.octets = n // 8
+        self.unit, self.alpha, self.spare = (np.empty(n) for _ in range(3))
+        self.norms = np.empty(self.octets)
+
+    def rows(self, buf) -> np.ndarray:
+        return buf.reshape(self.octets, 8)
+
+    def transposed(self, buf) -> np.ndarray:
+        return buf.reshape(8, self.octets).T
 
 
-def _unit_blocks(data, side: str) -> np.ndarray:
-    blocks = np.asarray(data, dtype=float)
+def _buffers(blocks, side: str, buffers: OctetBuffers | None) -> OctetBuffers:
+    """Validated (nb, 8) blocks' buffers: the given ones or new ones."""
     if blocks.ndim != 2 or blocks.shape[1] != 8:
         raise DomainError(f"{side} blocks must have shape (nb, 8), got {blocks.shape}")
-    norms = np.linalg.norm(blocks, axis=1)
-    bad = int(np.count_nonzero(norms <= _NORM_FLOOR))
+    if buffers is None:
+        return OctetBuffers(blocks.size)
+    if buffers.octets != len(blocks):
+        raise DomainError(f"buffers hold {buffers.octets} octets, {side} blocks "
+                          f"have {len(blocks)}")
+    return buffers
+
+
+def _unit_blocks(blocks, side: str, buf: OctetBuffers, out) -> np.ndarray:
+    """The blocks over their norms, written to out, a view of buf.unit."""
+    squares = buf.rows(buf.spare)
+    # np.linalg.norm's own steps, in the buffers: squares, their sum per
+    # block, its root
+    np.multiply(blocks, blocks, out=squares)
+    np.add.reduce(squares, axis=1, out=buf.norms)
+    np.sqrt(buf.norms, out=buf.norms)
+    bad = int(np.count_nonzero(buf.norms <= _NORM_FLOOR))
     if bad:
         raise DegenerateBlockError(f"{bad} {side} block(s) with norm below {_NORM_FLOOR:g}")
-    return blocks / norms[:, None]
+    return np.divide(blocks, buf.norms[:, None], out=out)
 
 
-def encode_side_info(y_blocks, bits):
+def encode_side_info(y_blocks, bits, buffers: OctetBuffers | None = None):
     """Bob's side information: rotation coefficients per block, plus u.
 
     y_blocks has shape (nb, 8) and bits length 8*nb; returns (alpha, u)
-    with both shaped (nb, 8).  The syndrome of the bits travels separately
-    (an LdpcCode computes it).
+    with both shaped (nb, 8), u_i = (1 - 2 b_i)/sqrt(8).  The syndrome of
+    the bits travels separately (an LdpcCode computes it).  The work runs
+    in buffers, or in new ones; alpha and u are views of them.
     """
-    u = _bits_to_sphere(bits)
-    y_unit = _unit_blocks(y_blocks, "reference")
-    if u.shape != y_unit.shape:
-        raise DomainError(f"bit blocks {u.shape} do not match data blocks {y_unit.shape}")
-    return rotation_coefficients(y_unit, u), u
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or bits.size % 8:
+        raise DomainError(f"bit count must be a multiple of 8, got shape {bits.shape}")
+    blocks = np.asarray(y_blocks, dtype=float)
+    buf = _buffers(blocks, "reference", buffers)
+    y_unit = _unit_blocks(blocks, "reference", buf, buf.rows(buf.unit))
+    if bits.size != buf.octets * 8:
+        raise DomainError(f"bit blocks {(bits.size // 8, 8)} do not match data blocks "
+                          f"{y_unit.shape}")
+    u = buf.rows(buf.spare)  # the squares are spent
+    np.multiply(bits, -2.0, out=u.reshape(-1))
+    u += 1.0
+    u /= _ROOT8
+    return rotation_coefficients(y_unit, u, out=buf.transposed(buf.alpha)), u
 
 
 def mu_of_snr(snr: float) -> float:
@@ -110,14 +156,25 @@ def snr_estimate(x, y) -> float:
     return rho2 / (1.0 - rho2)
 
 
-def block_llr(x_blocks, alpha, snr_est: float) -> np.ndarray:
-    """Alice's LLRs for one block: rotate, then scale by the channel model."""
-    x_unit = _unit_blocks(x_blocks, "query")
+def block_llr(x_blocks, alpha, snr_est: float, buffers: OctetBuffers | None = None,
+              out=None) -> np.ndarray:
+    """Alice's LLRs for one block: rotate, then scale by the channel model.
+
+    The LLRs are written to out, flat, whose dtype they are rounded to
+    (bench passes float32), or returned as new float64.  The work runs in
+    buffers, or in new ones; alpha may be a view of the same buffers.
+    """
+    blocks = np.asarray(x_blocks, dtype=float)
+    buf = _buffers(blocks, "query", buffers)
+    x_unit = _unit_blocks(blocks, "query", buf, buf.transposed(buf.unit))
     if alpha is None or np.asarray(alpha).shape != x_unit.shape:
         raise DomainError("rotation coefficients must match block shape")
-    v = apply_rotation(alpha, x_unit)
+    v = apply_rotation(alpha, x_unit, out=buf.transposed(buf.spare))
     mu = mu_of_snr(float(snr_est))
-    return llr_scale(mu) * v.ravel()
+    if out is None:
+        out = np.empty(v.size)
+    np.multiply(llr_scale(mu), v, out=out.reshape(v.shape), casting="same_kind")
+    return out
 
 
 def decode(x_blocks, alpha, syndrome, code: LdpcCode, snr_est: float,

@@ -12,12 +12,16 @@ as the rule the doubling keeps: e_i e_j = s[i, j] e_(i xor j).  Each
 doubling takes the sign table s to [[s, s^T], [s c, -s^T c]], where c_j is
 the sign of conj(e_j) (+1 for j = 0, -1 otherwise) and scales column j.
 A_1 is the identity.  Each A_i w is applied as what it is, a signed
-permutation of w's entries, so no (..., 8, 8) frame is ever formed.
+permutation of w's entries: apply_rotation gathers whole rows of w's
+transpose, and rotation_coefficients forms the frame of at most _SLAB
+octets at a time.  Both give the whole-frame einsum's bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..errors import DomainError
 
 
 def _sign_table() -> np.ndarray:
@@ -40,37 +44,73 @@ np.put_along_axis(OCTONION_BASIS, _PERM[..., None], _SIGN[..., None], axis=2)
 OCTONION_BASIS.flags.writeable = False
 
 
-def _image(w, i):
-    """A_i w over the last axis, C-contiguous: take keeps that layout, where
-    indexing by _PERM[i] would transpose it."""
-    return w.take(_PERM[i], axis=-1) * _SIGN[i]
+# octets per slab of rotation_coefficients' images: 64 doubles each, so a
+# slab's images take 128 KB and stay in cache
+_SLAB = 256
 
 
-def rotation_coefficients(src_unit, dst_unit) -> np.ndarray:
+def rotation_coefficients(src_unit, dst_unit, out=None) -> np.ndarray:
     """Coefficients alpha_i = <dst, A_i src> of the rotation src -> dst.
 
     Both inputs must already be unit vectors (last axis length 8); for unit
     src the frame is orthonormal, so sum_i alpha_i A_i maps src to dst
-    exactly and is orthogonal.
+    exactly and is orthogonal.  The octets go in slabs of _SLAB: one take
+    fetches a slab's eight images A_i src, their signs flip in place, and
+    one einsum reduces them against dst.  That is the whole-frame product's
+    einsum over the same (octets, 8, 8) layout, so alpha is its bit for
+    bit.  out, if given, receives alpha in any memory layout, e.g. the
+    transpose of an (8, octets) buffer, which apply_rotation reads in place.
     """
     src = np.asarray(src_unit, dtype=float)
     dst = np.asarray(dst_unit, dtype=float)
     shape = np.broadcast_shapes(src.shape, dst.shape)
     src = np.broadcast_to(src, shape).reshape(-1, 8)
     dst = np.broadcast_to(dst, shape).reshape(-1, 8)
-    alpha = np.empty(src.shape)
-    for i in range(8):
-        # over C-contiguous (n, 8) operands einsum sums in the order of the
-        # whole-frame product, so alpha is that product's bit for bit
-        alpha[:, i] = np.einsum("nk,nk->n", _image(src, i), dst)
-    return alpha.reshape(shape)
+    alpha = np.empty(shape) if out is None else out
+    if alpha.shape != shape:
+        raise DomainError(f"out has shape {alpha.shape}, the coefficients {shape}")
+    flat = alpha.reshape(-1, 8)
+    if not np.may_share_memory(flat, alpha):
+        raise DomainError("out must reshape to (octets, 8) without a copy")
+    images = np.empty((min(len(src), _SLAB), 8, 8))
+    for lo in range(0, len(src), _SLAB):
+        hi = min(lo + _SLAB, len(src))
+        # the indices are in range, so "wrap" wraps none; the default mode
+        # would write through a temporary
+        src[lo:hi].take(_PERM, axis=1, out=images[:hi - lo], mode="wrap")
+        images[:hi - lo] *= _SIGN
+        np.einsum("nik,nk->ni", images[:hi - lo], dst[lo:hi], out=flat[lo:hi])
+    return alpha
 
 
-def apply_rotation(alpha, w) -> np.ndarray:
-    """Apply M = sum_i alpha_i A_i to w, vectorized over leading axes."""
+def apply_rotation(alpha, w, out=None) -> np.ndarray:
+    """Apply M = sum_i alpha_i A_i to w, vectorized over leading axes.
+
+    The work runs on transposes, (8, octets) rows, where each image A_i w
+    is eight whole rows: (M w)_k = sum_i _SIGN[i, k] alpha_i w_(_PERM[i, k]),
+    one product and one add or subtract per row, summed over i in the
+    order of the whole-frame product, bit for bit.  alpha and w are read
+    in place where their transposes are C-contiguous (views of (8, octets)
+    buffers) and copied otherwise.  out, if given, must be such a view; the
+    result is returned in it, or else as the transpose of a new buffer.
+    """
     alpha = np.asarray(alpha, dtype=float)
     w = np.asarray(w, dtype=float)
-    out = alpha[..., 0:1] * _image(w, 0)
+    shape = np.broadcast_shapes(alpha.shape, w.shape)
+    at = np.ascontiguousarray(np.broadcast_to(alpha, shape).reshape(-1, 8).T)
+    wt = np.ascontiguousarray(np.broadcast_to(w, shape).reshape(-1, 8).T)
+    if out is None:
+        ot = np.empty(wt.shape)
+    elif out.shape != shape:
+        raise DomainError(f"out has shape {out.shape}, the rotated block {shape}")
+    else:
+        ot = out.reshape(-1, 8).T
+        if not (ot.flags.c_contiguous and np.may_share_memory(ot, out)):
+            raise DomainError("out must be the transpose of an (8, octets) buffer")
+    row = np.empty(wt.shape[1])
+    np.multiply(at[0], wt, out=ot)  # A_1 is the identity
     for i in range(1, 8):
-        out += alpha[..., i:i + 1] * _image(w, i)
-    return out
+        for k in range(8):
+            np.multiply(at[i], wt[_PERM[i, k]], out=row)
+            (np.add if _SIGN[i, k] > 0 else np.subtract)(ot[k], row, out=ot[k])
+    return ot.T.reshape(shape) if out is None else out

@@ -38,6 +38,20 @@ def test_import_path_loads_no_scipy(tmp_path):
     assert "Gaussian" in (tmp_path / "bench.txt").read_text()
 
 
+def test_module_entry_point_runs_the_cli(tmp_path, capsys):
+    # python -m psqkd from the source tree, with no install, is the CLI:
+    # same stdout, same exit codes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv, code in ((["beta", "--rate", "0.1", "--snr", "0.1626"], 0),
+                       (["beta", "--rate", "0.1"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "psqkd", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr[-2000:]
+        if code == 0:
+            assert main(argv) == 0
+            assert proc.stdout == capsys.readouterr().out
+
+
 # every subcommand at a small size
 SMALL_ARGV = {
     "keyrate": ["--k", "1", "--dist", "50"],

@@ -40,6 +40,7 @@ from psqkd.reconciliation import (
 from psqkd.reconciliation import rotation
 from psqkd.reconciliation.bp import Workspace
 from psqkd.reconciliation.ldpc import LdpcCode, SlotLayout, _degree_sequence, fold_columns
+from psqkd.reconciliation.multidim import OctetBuffers
 from psqkd.subtraction import SourceSpec, covariance_subtracted
 
 PROFILE = {2: 0.2, 3: 0.7, 6: 0.1}
@@ -155,6 +156,71 @@ class TestRotationBasis:
         assert np.array_equal(alpha, np.einsum("...ik,...k->...i", frame(x), y))
         assert np.array_equal(apply_rotation(alpha, w),
                               np.einsum("...i,...ik->...k", alpha, frame(w)))
+
+
+@st.composite
+def octet_batches(draw):
+    """Unit x and y and a free w, (count, 8) each: one octet, or a count at
+    a slab edge of rotation_coefficients; w's entries scaled from subnormal
+    to huge, some of them zero."""
+    count = draw(st.sampled_from([1, rotation._SLAB - 1, rotation._SLAB,
+                                  rotation._SLAB + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y, w = (rng.standard_normal((count, 8)) for _ in range(3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    w *= 10.0 ** draw(st.integers(-320, 300))
+    w[rng.random(w.shape) < draw(st.sampled_from([0.0, 0.25]))] = 0.0
+    return x, y, w
+
+
+def transposed(a):
+    """a's values as the transpose of a C-contiguous (8, count) buffer, the
+    layout bench prepares blocks in."""
+    return np.ascontiguousarray(a.T).T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(octet_batches())
+def test_rotations_are_the_frame_products_bit_for_bit(batch):
+    x, y, w = batch
+    want = np.einsum("...ik,...k->...i", frame(x), y)
+    alpha = rotation_coefficients(x, y)
+    assert np.array_equal(alpha, want)
+    alpha_t = transposed(np.empty_like(x))
+    assert rotation_coefficients(x, y, out=alpha_t) is alpha_t
+    assert np.array_equal(alpha_t, want)
+    # one x rotated toward every y, broadcast
+    assert np.array_equal(rotation_coefficients(x[0], y),
+                          np.einsum("...ik,...k->...i", frame(x[0]), y))
+
+    want = np.einsum("...i,...ik->...k", alpha, frame(w))
+    assert np.array_equal(apply_rotation(alpha, w), want)
+    out = transposed(np.empty_like(w))
+    assert apply_rotation(alpha_t, transposed(w), out=out) is out
+    assert np.array_equal(out, want)
+    # one rotation applied to every octet: alpha (8,) against w (count, 8)
+    assert np.array_equal(apply_rotation(alpha[0], w),
+                          np.einsum("i,...ik->...k", alpha[0], frame(w)))
+    # M x = y
+    assert np.abs(apply_rotation(alpha, x) - y).max() < 1e-12
+
+
+def test_out_layouts_and_buffer_sizes_are_checked():
+    # apply_rotation writes only into the transpose of an (8, octets)
+    # buffer, rotation_coefficients only into an out of the result's shape,
+    # and prepared blocks must fit their OctetBuffers
+    rng = np.random.default_rng(41)
+    x, y = (rng.standard_normal((4, 8)) for _ in range(2))
+    with pytest.raises(DomainError):
+        apply_rotation(x, y, out=np.empty((4, 8)))
+    with pytest.raises(DomainError):
+        rotation_coefficients(x, y, out=np.empty((3, 8)))
+    buffers = OctetBuffers(24)
+    with pytest.raises(DomainError):
+        encode_side_info(x, np.zeros(32, dtype=np.uint8), buffers)
+    with pytest.raises(DomainError):
+        OctetBuffers(12)
 
 
 def unit_coefficients(x, y):
@@ -668,20 +734,21 @@ class TestBenchWorkers:
         # the calling thread allocates one workspace per worker, ~52 bytes
         # per symbol (4.2 edge-sized float32 arrays at ~3.1 edges per
         # symbol), and prepares each round of blocks while no worker
-        # decodes.  The rest of the peak is one block's preparation, at most
-        # 64 bytes per symbol (5.2 edge arrays): five octet arrays of 8 bytes
-        # per symbol at once, its bits drawn as int64 (8) and the round's
-        # block prepared before it (float32 LLRs, bits and syndrome, ~6).
-        # The decode adds nothing.  Workers that prepared their own blocks
-        # and decoded in arrays allocated on every iteration peaked at ~187
-        # bytes per symbol, above this bound's 168
+        # decodes.  The rest of the peak, measured at 44-47 bytes per
+        # symbol, comes while both workers decode: the preparation's
+        # buffers, allocated once, of three octet arrays (24) and the norms
+        # (1); each worker's float32 LLRs (8); the round's bits and
+        # syndromes (~4); and each decode's casting buffers, ~160 KB (~10
+        # at this n).  Preparing in new arrays for every block peaked at
+        # ~57, and workers that prepared their own blocks and decoded in
+        # arrays allocated on every iteration at ~187, above this bound's 154
         workers(monkeypatch, 2)
         code, n = code32k, code32k.n
         code.slots
         x, y = gaussian_pairs(0.1626, 4 * n, seed=43)
         workspace = sum(a.nbytes for a in vars(Workspace(code)).values()
                         if isinstance(a, np.ndarray))
-        bound = 2 * workspace + 64 * n
+        bound = 2 * workspace + 50 * n
         edge = 4 * code.n_edges
         tracemalloc.start()
         try:
@@ -1062,6 +1129,57 @@ def test_decoder_matches_reference(n, snr, decodes, arm):
     assert iters == want_iters
     assert (got is None) == (want is None) == (not decodes)
     if decodes:
+        assert np.array_equal(got, want)
+
+
+def first_products(code, llr):
+    """The first iteration's tanh values per edge and their products per
+    check, in canonical order, before any flooring."""
+    t = np.tanh(np.float32(0.5) * np.asarray(llr, dtype=np.float32)[code.edge_var])
+    return t, np.multiply.reduceat(t, code.check_ptr[:-1])
+
+
+@pytest.mark.parametrize("syndrome_of", ["bits", "random"])
+def test_decoder_matches_reference_below_the_floor_in_products_only(code512, syndrome_of):
+    # LLRs around 1e-3: every tanh is ~5e-4, far above the 1e-12 floor, but
+    # a degree-4 check's product of four is ~6e-14, below it.  The floor
+    # test on the products falls back to the edge scan, which floors
+    # nothing, and the decode must still be the reference's
+    rng = np.random.default_rng(35)
+    bits = rng.integers(0, 2, code512.n).astype(np.uint8)
+    llr = ((1.0 - 2.0 * bits) * rng.uniform(0.5e-3, 2e-3, code512.n)).astype(np.float32)
+    llr[rng.random(code512.n) < 0.1] *= -1.0
+    syn = (code512.syndrome(bits) if syndrome_of == "bits"
+           else rng.integers(0, 2, code512.m).astype(np.uint8))
+    t, prod = first_products(code512, llr)
+    assert np.abs(t).min() >= _TANH_FLOOR
+    assert np.abs(prod[code512.check_degrees == 4]).min() < _TANH_FLOOR
+    got, iters = decode_syndrome(code512, llr, syn, max_iter=60)
+    want, want_iters = reference_decode_syndrome(code512, llr, syn, max_iter=60)
+    assert iters == want_iters
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("zero_frac", [0.02, 0.3])
+def test_decoder_matches_reference_on_zero_and_normal_llrs(code2048, zero_frac):
+    # exact zeros (both signs) among normal LLRs: the zeros' tanh values sit
+    # on the floor, so their checks' products send iterations to the edge
+    # scan while the rest of the block needs none
+    rng = np.random.default_rng(36)
+    bits = rng.integers(0, 2, code2048.n).astype(np.uint8)
+    llr = ((1.0 - 2.0 * bits) * 2.0 + rng.normal(0.0, 1.5, code2048.n)).astype(np.float32)
+    zeros = rng.random(code2048.n) < zero_frac
+    llr[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    syn = code2048.syndrome(bits)
+    t, prod = first_products(code2048, llr)
+    assert (np.abs(prod) < _TANH_FLOOR).any() and (np.abs(prod) >= _TANH_FLOOR).any()
+    got, iters = decode_syndrome(code2048, llr, syn)
+    want, want_iters = reference_decode_syndrome(code2048, llr, syn)
+    assert iters == want_iters
+    assert (got is None) == (want is None)
+    if want is not None:
         assert np.array_equal(got, want)
 
 
