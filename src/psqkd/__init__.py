@@ -50,16 +50,14 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from .montecarlo import (
-    ExperimentRecords,
     ExperimentResult,
     MomentEstimate,
     RescaleSpec,
     collect_accepted_pairs,
-    export_records,
-    load_records,
     rescale_and_filter,
     run_experiment,
 )
+from .records import ExperimentRecords, export_records, load_records
 from .subtraction import (
     SourceSpec,
     SubtractionReport,

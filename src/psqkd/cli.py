@@ -42,14 +42,7 @@ from .analysis import (
 from .errors import DomainError, PsqkdError
 from .fock import apply_detector_loss, build_split_tmsv, condition_on_count, suggested_cutoff
 from .gaussian import ChannelSpec, apply_channel
-from .montecarlo import (
-    RescaleSpec,
-    collect_accepted_pairs,
-    export_records,
-    load_records,
-    rescale_and_filter,
-    run_experiment,
-)
+from .montecarlo import RescaleSpec, collect_accepted_pairs, rescale_and_filter, run_experiment
 from .reconciliation import (
     accepted_pairs,
     bench,
@@ -59,6 +52,7 @@ from .reconciliation import (
     non_gaussian_label,
     peg_construct,
 )
+from .records import export_records, load_records
 from .subtraction import SourceSpec, covariance_subtracted
 
 # Degree profile of the constructed rate-0.1 code; low-rate irregular

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._pool import ordered, worker_count
 from ..analysis import beta_from_rate_snr
 from ..errors import DegenerateBlockError, DomainError
 from ..gaussian import ChannelSpec
-from ..montecarlo import ExperimentRecords, _stream, _worker_count
+from ..records import ExperimentRecords
 from ..subtraction import SourceSpec, covariance_subtracted
 from .bp import Workspace, decode_syndrome
 from .ldpc import LdpcCode
@@ -117,7 +118,7 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
     the report is deterministic.  Success means the decoder converged and
     the recovered bits equal Bob's ground truth exactly.
 
-    Blocks are decoded on the sampler's workers (montecarlo._stream), one
+    Blocks are decoded on the shared worker pool (psqkd._pool), one
     per usable CPU and two at most, or one for a code of fewer than
     _PARALLEL_EDGES edges.  Each works in its own bp.Workspace, which the
     calling thread allocates once before any worker starts.  The
@@ -147,7 +148,7 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
     # Python 3.12+, so two workers could each build the layout
     code.slots
     children = np.random.SeedSequence(seed).spawn(n_blocks)
-    workers = _worker_count(n_blocks) if code.n_edges >= _PARALLEL_EDGES else 1
+    workers = worker_count(n_blocks) if code.n_edges >= _PARALLEL_EDGES else 1
     workspaces = [Workspace(code) for _ in range(workers)]
     # one block's preparation works in these octet arrays, and block j of a
     # round leaves its LLRs in llrs[j] until its worker decodes them
@@ -187,7 +188,7 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
         # block and is released before the next is prepared.  Results come
         # in block order, so the sums run in one order for any worker count
         blocks = range(lo, min(lo + len(workspaces), n_blocks))
-        for result in _stream([prepared(b, llr) for b, llr in zip(blocks, llrs)], decoded,
+        for result in ordered([prepared(b, llr) for b, llr in zip(blocks, llrs)], decoded,
                               workspaces[:len(blocks)]):
             if result is None:
                 skipped += 1

@@ -15,7 +15,7 @@ import pytest
 from psqkd import cli
 from psqkd.cli import build_parser, main, parse_config_lines
 from psqkd.errors import DomainError
-from psqkd.montecarlo import load_records
+from psqkd.records import load_records
 from psqkd.reconciliation import peg_construct, save_alist
 
 # inflated three-sigma band shared with the estimator tests

@@ -1,16 +1,19 @@
 """The package imports only the standard library, NumPy and itself, its
 CLI does not pull in the standard library's hashing or thread-pool modules,
-and it builds no table on first use."""
+it builds no table on first use, its modules share no new private names,
+and every function the benchmark's tracer wraps exists under its name."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "psqkd"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "psqkd"
 
 
 def imported_modules(path):
@@ -49,7 +52,7 @@ def test_cli_import_loads_no_hashing_modules():
 
 
 def test_cli_import_loads_no_thread_pool():
-    # the streaming sampler starts plain threads inside run_experiment; an
+    # the worker pool (psqkd._pool) starts plain threads when it runs; an
     # executor would add concurrent.futures to every CLI start
     assert modules_loaded_by_cli_import({"concurrent.futures"}) == "[]"
 
@@ -67,3 +70,51 @@ def test_no_first_use_caches():
                     if callable(getattr(value, "cache_clear", None)))
     assert not cached, ("first-use caches keep a run's freed arrays resident; "
                         f"build these at import: {cached}")
+
+
+# The private names one package module imports from another.  This set may
+# only shrink: a module that needs another's helper makes it public instead.
+ALLOWED_PRIVATE_IMPORTS = {
+    ("psqkd.gaussian", "_first"),
+    ("psqkd.gaussian", "_plain"),
+    ("psqkd.gaussian", "_xlogy"),
+    ("psqkd.subtraction", "_filter_coefficient"),
+    ("psqkd.subtraction", "_filter_into"),
+}
+
+
+def private_imports(path):
+    """(module, name) for each underscore name a package file imports from
+    another package module, function-local imports included."""
+    package = ("psqkd",) + path.relative_to(PACKAGE).with_suffix("").parts[:-1]
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package[:len(package) - node.level + 1]
+            module = ".".join(base + ((node.module,) if node.module else ()))
+            yield from ((module, alias.name) for alias in node.names
+                        if alias.name.startswith("_"))
+
+
+def test_private_names_stay_in_their_module():
+    found = {f"{path.relative_to(PACKAGE)}: {module}.{name}": (module, name)
+             for path in sorted(PACKAGE.rglob("*.py")) for module, name in private_imports(path)}
+    sealed = ("psqkd.montecarlo", "psqkd.records", "psqkd._pool")
+    leaked = sorted(key for key, (module, _) in found.items() if module in sealed)
+    assert not leaked, f"import the public names of these modules instead: {leaked}"
+    new = sorted(key for key, pair in found.items() if pair not in ALLOWED_PRIVATE_IMPORTS)
+    assert not new, f"new cross-module private imports: {new}"
+    gone = ALLOWED_PRIVATE_IMPORTS - set(found.values())
+    assert not gone, f"no longer imported; drop from ALLOWED_PRIVATE_IMPORTS: {sorted(gone)}"
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracer.py wraps each LAYERS function by (module, name), so a
+    # function that moves must stay importable under that name (montecarlo
+    # re-exports the record codec's export_records and load_records)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, name, *_ in tracer.LAYERS
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert not missing, missing

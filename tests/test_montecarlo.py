@@ -1,9 +1,9 @@
 """Monte Carlo sampler tests: estimator calibration against the analytic
 chain for ideal and lossy counters, rescaling, exact accepted-pair draws
-against the rejection sampler, and record IO (pinned bytes, a round-trip
-property, malformed input, the bytes of the % formatter it replaced, and
-the values and errors of the np.loadtxt loader the exact reader sits in
-front of).
+against the rejection sampler, and psqkd.records' record IO (pinned
+bytes, a round-trip property, malformed input, the bytes of the %
+formatter it replaced, and the values and errors of the np.loadtxt loader
+the exact reader sits in front of).
 
 Statistical checks run at fixed seeds verified to sit inside their 3-sigma
 bands (inflated 20% for moment estimators, whose Gaussian-formula standard
@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mc_bands import SE_INFLATION, cov_within
 
-from psqkd import montecarlo
+from psqkd import _pool, montecarlo, records
 from psqkd.errors import DomainError, EstimationError
 from psqkd.gaussian import (
     ChannelSpec,
@@ -40,18 +40,15 @@ from psqkd.gaussian import (
     key_rate_homodyne,
 )
 from psqkd.montecarlo import (
-    _IO_CHUNK,
-    ExperimentRecords,
     RescaleSpec,
     _chunk_sums,
     _estimate,
     _receiver,
     collect_accepted_pairs,
-    export_records,
-    load_records,
     rescale_and_filter,
     run_experiment,
 )
+from psqkd.records import _IO_CHUNK, ExperimentRecords, export_records, load_records
 from psqkd.subtraction import (
     SourceSpec,
     _filter_coefficient,
@@ -67,7 +64,7 @@ BAND = 3.0 * SE_INFLATION
 @pytest.fixture(params=[1, 2])
 def codec_workers(request, monkeypatch):
     """Export and load on one worker and on two, by the usable CPUs reported."""
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: request.param)
     return request.param
 
 
@@ -482,7 +479,7 @@ class TestRecordsIO:
         # the columns are views of the one loaded block, so a load holds the
         # record data once; a contiguous copy of the columns would double it.
         # Two workers each hold one block's text and parse arrays
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         n = 200_000
         rng = np.random.default_rng(3)
         recs = ExperimentRecords(x_a=rng.standard_normal(n), p_a=rng.standard_normal(n),
@@ -503,7 +500,7 @@ class TestRecordsIO:
         # rows are formatted chunk by chunk: the peak is two workers' chunk
         # buffers and a window of chunk texts, not the file's text (~16 MB
         # here)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         n = 1 << 18
         x, p, acc, y = gaussian_records(n, seed=4)
         recs = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y)
@@ -763,7 +760,7 @@ class TestExactLoader:
         def refuse(*args, **kwargs):
             raise AssertionError("np.loadtxt called")
 
-        monkeypatch.setattr(montecarlo.np, "loadtxt", refuse)
+        monkeypatch.setattr(records.np, "loadtxt", refuse)
         assert_bit_identical(load_records(path), recs)
 
     def test_only_unproven_tokens_reach_loadtxt(self, monkeypatch, tmp_path):
@@ -782,7 +779,7 @@ class TestExactLoader:
             seen.append(list(lines))
             return real(lines, *args, **kwargs)
 
-        monkeypatch.setattr(montecarlo.np, "loadtxt", spy)
+        monkeypatch.setattr(records.np, "loadtxt", spy)
         assert_bit_identical(load_records(str(path)), recs)
         assert seen == [exponents]
 
@@ -796,8 +793,8 @@ class TestCodecWorkers:
         # whichever worker formats the failing chunk, export_records raises
         # its error once both workers have stopped; the calling thread waits
         # until the other worker holds a chunk, so each takes one
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        format_rows, other_started = montecarlo._format_rows, threading.Event()
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
+        format_rows, other_started = records._format_rows, threading.Event()
 
         def format_or_fail(*args):
             calling = threading.current_thread() is threading.main_thread()
@@ -809,7 +806,7 @@ class TestCodecWorkers:
                 raise MemoryError(f"{failing} worker")
             return format_rows(*args)
 
-        monkeypatch.setattr(montecarlo, "_format_rows", format_or_fail)
+        monkeypatch.setattr(records, "_format_rows", format_or_fail)
         x, p, acc, y = gaussian_records(40 * _IO_CHUNK, seed=6)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match=f"{failing} worker"):
@@ -820,8 +817,8 @@ class TestCodecWorkers:
     def test_interrupt_stops_the_other_export_worker(self, monkeypatch, tmp_path):
         # a Ctrl-C in the calling thread reaches the caller, and the other
         # worker formats at most the chunk it holds instead of the rest
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        format_rows, interrupted, formatted = montecarlo._format_rows, threading.Event(), []
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
+        format_rows, interrupted, formatted = records._format_rows, threading.Event(), []
 
         def format_or_interrupt(*args):
             if threading.current_thread() is threading.main_thread():
@@ -831,7 +828,7 @@ class TestCodecWorkers:
             formatted.append(len(args[0]))
             return format_rows(*args)
 
-        monkeypatch.setattr(montecarlo, "_format_rows", format_or_interrupt)
+        monkeypatch.setattr(records, "_format_rows", format_or_interrupt)
         x, p, acc, y = gaussian_records(40 * _IO_CHUNK, seed=6)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
@@ -846,12 +843,12 @@ class TestCodecWorkers:
     def test_malformed_line_in_the_second_block(self, bad, suffix, monkeypatch, tmp_path):
         # a bad line in the second block read, which the second worker
         # parses, sends the file to np.loadtxt, whose error is raised
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        x, p, acc, y = gaussian_records(3 * montecarlo._READ_BLOCK // 40, seed=7)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
+        x, p, acc, y = gaussian_records(3 * records._READ_BLOCK // 40, seed=7)
         path = tmp_path / ("records" + suffix)
         export_records(ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y), str(path))
         text = gzip.decompress(path.read_bytes()) if suffix == ".txt.gz" else path.read_bytes()
-        at = text.index(b"\n", montecarlo._READ_BLOCK + 1000) + 1
+        at = text.index(b"\n", records._READ_BLOCK + 1000) + 1
         end = text.index(b"\n", at) + 1
         text = text[:at] + bad.encode() + text[end:]
         path.write_bytes(gzip.compress(text) if suffix == ".txt.gz" else text)
@@ -961,7 +958,7 @@ class TestAcceptanceKernel:
     def test_run_matches_reference(self, src, n, workers, monkeypatch):
         # kept chunks drawn on any number of workers into their rows of the
         # columns give the reference's records and estimate
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: workers)
         ch = ChannelSpec(t_c=0.5, epsilon=0.02)
         res = run_experiment(src, ch, n, seed=41)
         want_recs, want_est = reference_run(src, ch, n, seed=41)
@@ -988,7 +985,7 @@ class TestAcceptanceKernel:
     def test_streaming_run_matches_reference(self, src, n, workers, monkeypatch):
         # packed chunks drawn on any number of workers give the bits of the
         # kept columns reduced in chunk order
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: workers)
         ch = ChannelSpec(t_c=0.5, epsilon=0.02)
         res = run_experiment(src, ch, n, seed=41, keep_records=False)
         want_est = reference_run(src, ch, n, seed=41)[1]
@@ -998,7 +995,7 @@ class TestAcceptanceKernel:
     def test_error_in_any_chunk_reaches_the_caller(self, keep, monkeypatch):
         # whichever worker draws the failing chunk, run_experiment raises its
         # error once every worker has stopped
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         draw = getattr(montecarlo, DRAWS[keep])
 
         def draw_or_fail(rng, src, ch, x, *args):
@@ -1019,10 +1016,10 @@ class TestAcceptanceKernel:
         # estimate keeps the bits of one worker
         src = SourceSpec.k_photon(20.0, 0.8, 1)
         monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 14)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
         want = run_experiment(src, IDEAL, 1 << 20, seed=9, keep_records=False).estimate
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(montecarlo, "_MAX_WORKERS", 4)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(_pool, "_MAX_WORKERS", 4)
         draw, drawn = montecarlo._draw_packed, []
 
         def draw_and_record(rng, *args):
@@ -1043,7 +1040,7 @@ class TestAcceptanceKernel:
     def test_interrupt_stops_the_other_worker(self, keep, monkeypatch):
         # a Ctrl-C in the calling thread reaches the caller, and the other
         # worker draws at most the chunk it holds instead of the rest
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         draw = getattr(montecarlo, DRAWS[keep])
         interrupted = threading.Event()
         drawn = []
@@ -1067,7 +1064,7 @@ class TestAcceptanceKernel:
     def test_interrupt_outranks_an_earlier_thread_error(self, monkeypatch):
         # the calling thread's own exception is the one raised, even when
         # another worker failed first
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         drawing, failed = threading.Event(), threading.Event()
 
         def fail_or_interrupt(*args):
@@ -1134,9 +1131,9 @@ class TestAcceptanceKernel:
         # two workers each hold one chunk's buffers (~4.4 chunk arrays in
         # all) and give the estimate of one worker
         src = SourceSpec.k_photon(20.0, 0.8, 1)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
         want = run_experiment(src, IDEAL, 3 << 20, seed=3, keep_records=False).estimate
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         chunk_bytes = 8 << 20
         tracemalloc.start()
         try:
@@ -1151,7 +1148,7 @@ class TestAcceptanceKernel:
         # a host with more CPUs than chunks still draws on two workers, so
         # the 3-chunk run keeps test_streaming_run_holds_one_chunk's bound
         # (three workers' buffers came to ~6.5 chunk arrays)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 16)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 16)
         src = SourceSpec.k_photon(20.0, 0.8, 1)
         chunk_bytes = 8 << 20
         tracemalloc.start()
@@ -1168,7 +1165,7 @@ class TestAcceptanceKernel:
         # (per-chunk arrays joined by np.concatenate held two copies).  The
         # rest is each worker's block buffers and accepted-row gathers, up
         # to 0.13 copies when both workers sum their chunks at once
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         src = SourceSpec.k_photon(20.0, 0.8, 1)
         n = 3 << 20
         record_bytes = 25 * n  # x_a, p_a and x_b as float64, accepted as bool

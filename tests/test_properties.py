@@ -52,14 +52,14 @@ from psqkd.gaussian import (
     key_rate_homodyne,
     symplectic_eigenvalues,
 )
-from psqkd import montecarlo
-from psqkd.montecarlo import (
+from psqkd import _pool, records
+from psqkd.montecarlo import collect_accepted_pairs
+from psqkd.records import (
     _IO_CHUNK,
     _IO_WINDOW,
     ExperimentRecords,
     _format_buffers,
     _format_rows,
-    collect_accepted_pairs,
     export_records,
     load_records,
 )
@@ -321,7 +321,7 @@ def test_record_formatter_rounds_decimal_ties_to_even():
 def test_record_formatter_without_long_double(monkeypatch):
     # where long double is a double, every value takes the exact integer
     # path, which prints the same bytes
-    monkeypatch.setattr(montecarlo, "_WIDE", False)
+    monkeypatch.setattr(records, "_WIDE", False)
     rng = np.random.default_rng(18)
     values = np.concatenate([rng.normal(0.0, 3.0, 4000), SPECIAL_FLOATS,
                              [np.nextafter(10.0 ** e, 0.0) for e in range(-4, 17)]])
@@ -347,7 +347,7 @@ def chunk_edge_records(draw):
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(recs=chunk_edge_records(), workers=st.sampled_from([1, 2]))
 def test_export_then_load_gives_the_records_bit_for_bit(recs, workers):
-    with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers), \
+    with mock.patch.object(_pool, "_usable_cpus", lambda: workers), \
             tempfile.TemporaryDirectory() as tmp:
         for name in ("r.txt", "r.txt.gz"):
             path = str(Path(tmp) / name)

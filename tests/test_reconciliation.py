@@ -13,11 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psqkd import montecarlo
+from psqkd import _pool
 from psqkd.analysis import beta_from_rate_snr
 from psqkd.cli import PEG_PROFILE
 from psqkd.errors import DegenerateBlockError, DomainError
-from psqkd.montecarlo import ExperimentRecords, collect_accepted_pairs, run_experiment
+from psqkd.montecarlo import collect_accepted_pairs, run_experiment
 from psqkd.reconciliation import (
     OCTONION_BASIS,
     accepted_pairs,
@@ -41,6 +41,7 @@ from psqkd.reconciliation import rotation
 from psqkd.reconciliation.bp import Workspace
 from psqkd.reconciliation.ldpc import LdpcCode, SlotLayout, _degree_sequence, fold_columns
 from psqkd.reconciliation.multidim import OctetBuffers
+from psqkd.records import ExperimentRecords
 from psqkd.subtraction import SourceSpec, covariance_subtracted
 
 PROFILE = {2: 0.2, 3: 0.7, 6: 0.1}
@@ -682,7 +683,7 @@ class TestBench:
 
 def workers(monkeypatch, cpus):
     """cpus usable CPUs, and worker threads for codes of any size."""
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(bench_module, "_PARALLEL_EDGES", 0)
 
 
@@ -718,14 +719,14 @@ class TestBenchWorkers:
     def test_small_codes_decode_on_one_worker(self, name, threads, request, monkeypatch):
         # two workers slow a code of ~1300 edges down; one of ~101 600 edges
         # takes both
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        code, stream, widths = request.getfixturevalue(name), bench_module._stream, []
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
+        code, stream, widths = request.getfixturevalue(name), bench_module.ordered, []
 
         def counted(tasks, run, buffers, window=None):
             widths.append(len(buffers))
             return stream(tasks, run, buffers, window)
 
-        monkeypatch.setattr(bench_module, "_stream", counted)
+        monkeypatch.setattr(bench_module, "ordered", counted)
         x, y = gaussian_pairs(0.5, 2 * code.n, seed=51)
         bench(x, y, code, 2, seed=52, snr=0.5)
         assert set(widths) == {threads}
