@@ -32,6 +32,8 @@ from .multidim import OctetBuffers, block_llr, encode_side_info, snr_estimate
 # of it at 50 789 and 0.99-1.73 at 12 699, where the GIL hand-offs between
 # short NumPy steps outweigh the overlap.
 _PARALLEL_EDGES = 1 << 16
+# Bits a block's draw takes per call; see _random_bits
+_BIT_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,17 @@ def gaussian_pairs(snr: float, n_pairs: int, seed: int):
     y = rng.standard_normal(n_pairs)
     x = rho * y + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n_pairs)
     return x, y
+
+
+def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """rng.integers(0, 2, n) as uint8, drawn _BIT_CHUNK bits at a time into
+    the result rather than as one int64 array of n.  An int64 draw below
+    2^32 takes one 32-bit word per value, so the chunks give the same
+    bits as one draw."""
+    bits = np.empty(n, dtype=np.uint8)
+    for lo in range(0, n, _BIT_CHUNK):
+        bits[lo:lo + _BIT_CHUNK] = rng.integers(0, 2, min(_BIT_CHUNK, n - lo))
+    return bits
 
 
 def accepted_pairs(records: ExperimentRecords):
@@ -160,8 +173,7 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
         # float32 as decode_syndrome rounds them, and the syndrome; None
         # for a block with a zero-norm octet
         sl = slice(b * code.n, (b + 1) * code.n)
-        bits = np.random.default_rng(children[b]).integers(
-            0, 2, code.n).astype(np.uint8)
+        bits = _random_bits(np.random.default_rng(children[b]), code.n)
         try:
             alpha, _ = encode_side_info(y[sl].reshape(-1, 8), bits, buffers)
             est = snr_estimate(x[sl], y[sl])

@@ -5,11 +5,12 @@ pool (psqkd._pool), each thread with buffers allocated once per call.
 
 export_records writes the bytes "%.17g" % v gives, but computes them in
 NumPy: each float's 17 significant digits, rounded half to even, come from
-its product with a power of ten in long double, which is exact but next to
-a rounding tie or a power of ten; there they come exactly from its binary
-mantissa and exponent.  A row-wide mask keyed by the decimal exponent, sign
-and trailing zeros keeps the characters %g prints, so values of every
-exponent share one layout and one compress.
+its product with a power of ten, exact in IEEE double by Dekker's product
+(T. J. Dekker, Numer. Math. 18, 224 (1971)): the rounded product and its
+exact error, each step a separate ufunc, so no step is fused into an FMA.
+A row-wide mask keyed by the decimal exponent, sign and trailing zeros
+keeps the characters %g prints, so values of every exponent share one
+layout and one compress.
 Rows holding a zero or a value outside [1e-4, 1e16) in magnitude, which
 %g prints with an exponent or as inf or nan, are formatted by % in order.
 
@@ -36,10 +37,10 @@ from ._pool import ordered, worker_count
 from .errors import DomainError
 
 # Rows export_records formats per task.  A worker's buffers and working
-# set peak at ~1.5 MB under tracemalloc.  On two threads, 2^10 rows ran
-# 1.15x as fast as on one, since the GIL serialises their many small steps,
-# and 2^11 rows 1.4x; 2^12 rows ran 1.6x, but two workers then peak at
-# ~3 MB each, past the 4 MB export bound.
+# set peak at ~1.6 MB under tracemalloc.  On two threads 10^6 Gaussian rows
+# were written in 0.44-0.48 s, against 0.47-0.58 s at 2^10 rows, whose
+# many small steps the GIL serialises; 2^12 rows took 0.36-0.41 s, but the
+# export then peaks at ~7 MB, past its 4 MB bound.
 _IO_CHUNK = 1 << 11
 # Chunk texts (~130 KB each) held until the calling thread writes them;
 # windows of 8 to 64 ran no faster.
@@ -56,18 +57,17 @@ _ROW_FORMAT = "%.17g %.17g %d %.17g\n"
 # A mask picked by (slot, sign, X, digits left once trailing zeros go)
 # keeps the characters %g prints, so no byte moves per value.
 _SLOT = 46
-_POW5 = np.array([5**k for k in range(22)], dtype=np.uint64)
 
 # The header export_records writes: the columns, then the row count.
 _HEADER = b"# columns=x_a p_a accepted x_b\n"
 _COUNT = b"# n_samples="
 # load_records' exact reader parses _READ_BLOCK bytes of lines at a time.
-# A worker's block and parse arrays peak at ~7.5x its bytes under
-# tracemalloc.  On two threads the 10^6-row export loaded in 0.38-0.42 s
-# (0.56-0.59 s on one), against 0.56-0.57 s at 2^17, whose small steps the
-# GIL serialises; 2^19 took 0.32-0.35 s, but two workers then peak at 2x
-# the column bytes, past load_records' 1.5x bound.  A token's digits are
-# read from the _FIELD bytes up to its end, three 8-byte words.
+# A worker's block and parse arrays peak at ~8x its bytes under
+# tracemalloc.  On two threads those 10^6 rows loaded in 0.44-0.47 s,
+# against 0.62-0.66 s at 2^17, whose small steps the GIL serialises; 2^19
+# took 0.32-0.38 s, but two workers then peak at 2x the column bytes, past
+# load_records' 1.5x bound.  A token's digits are read from the _FIELD
+# bytes up to its end, three 8-byte words.
 _READ_BLOCK = 1 << 18
 _FIELD = 24
 _LINE_SEPS = np.frombuffer(b"   \n", dtype=np.uint8)
@@ -75,12 +75,27 @@ _LINE_SEPS = np.frombuffer(b"   \n", dtype=np.uint8)
 _TOKEN_BYTES = np.zeros(256, dtype=bool)
 _TOKEN_BYTES[np.frombuffer(b" \n-.+einfa", dtype=np.uint8)] = True
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-# 10^k is exact in long double up to 10^27; products of exact factors are exact
+# the loader's candidates D / 10^frac: 10^k is exact in long double up to
+# 10^27 (up to 10^22 where long double is a double)
 _POW10_LD = np.cumprod(np.full(_FIELD + 1, 10, dtype=np.longdouble)) / 10
-# _decimal_digits' long double path needs 64 significant bits (x86's long
-# double has them; where long double is a double, every value takes the
-# exact path)
-_WIDE = np.finfo(np.longdouble).nmant >= 63
+# Dekker's splitter: v _SPLITTER splits a double v into halves of at most
+# 26 significant bits each, whose products are exact
+_SPLITTER = 2.0 ** 27 + 1
+
+
+def _power_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of 10^0 .. 10^22, each power exact as a double, into
+    read-only halves: 10^k = _POW10_HI[k] + _POW10_LO[k] exactly."""
+    power = np.array([float(10**k) for k in range(23)])
+    c = power * _SPLITTER
+    hi = c - (c - power)
+    tables = hi, power - hi
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+_POW10_HI, _POW10_LO = _power_tables()
 
 
 def _format_tables() -> tuple[np.ndarray, ...]:
@@ -144,87 +159,76 @@ class ExperimentRecords:
         return self.x_a.size
 
 
-def _scaled(m, e, k):
-    """(floor, round half to even) of m 5^k 2^(e+k), exactly, as uint64.
+def _digits_at(a, x, d, scratch):
+    """d = a 10^(16 - x) rounded half to even, for 0 <= 16 - x <= 22.
 
-    m < 2^53 and 5^k < 2^49, so the product is under 2^102: it is built
-    from 32-bit limbs as hi 2^64 + lo.  A right shift is under 64 bits; a
-    left shift only happens when the result, hence hi, is small."""
-    f = _POW5[k]
-    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
-    f_lo, f_hi = f & 0xFFFFFFFF, f >> 32
-    low = m_lo * f_lo
-    mid = m_lo * f_hi + m_hi * f_lo
-    carry = (low >> 32) + (mid & 0xFFFFFFFF)
-    lo = (carry << 32) | (low & 0xFFFFFFFF)
-    hi = (carry >> 32) + (mid >> 32) + m_hi * f_hi
-    shift = -(e + k)
-    right = np.maximum(shift, 0).astype(np.uint64)
-    left = np.maximum(-shift, 0).astype(np.uint64)
-    # a shift by 64 gives 0 in NumPy, so right = 0 keeps lo alone
-    q = ((hi << (64 - right)) | (lo >> right)) << left
-    twice_rest = (lo & ((1 << right) - 1)) << 1
-    half = 1 << right
-    return q, q + ((twice_rest > half) | ((twice_rest == half) & ((q & 1) == 1)))
-
-
-def _exact_digits(a):
-    """_decimal_digits of a, from exact integer arithmetic on its bits.
-
-    With a = m 2^e and k = 16 - X, D = m 5^k 2^(e+k) rounded half to even.
-    X starts as floor(log10 a), which can be one off next to a power of
-    ten; the exact floor of a 10^k must lie in [10^16, 10^17), else X moves
-    by one.  D never rounds up to 10^17: no double lies within half a unit
-    of the 17th digit below a power of ten, since 17 digits resolve doubles."""
-    frac, exp = np.frexp(a)
-    m = (frac * 2.0 ** 53).astype(np.uint64)
-    e = exp.astype(np.int64) - 53
-    x = np.floor(np.log10(a)).astype(np.int64)
-    q, d = _scaled(m, e, 16 - x)
-    off = np.flatnonzero((q < 10**16) | (q >= 10**17))
-    if off.size:
-        x[off] += np.where(q[off] < 10**16, -1, 1)
-        d[off] = _scaled(m[off], e[off], 16 - x[off])[1]
-    return d, x
+    10^k is the table pair hi + lo, and a is split likewise, so Dekker's
+    product gives p = fl(a 10^k) and its error e = a 10^k - p exactly.  p
+    is at least 2^53 here, hence an even integer, and int64(p) +
+    int64(rint(e)) rounds a 10^k as %.17g does: a tie is p +- 1/2, and
+    rint's half to even keeps p.  scratch is five float rows of a's
+    length, and e is summed in d's row; each step is its own ufunc, so
+    nothing is fused into one rounding."""
+    hi, lo, p, a_hi, a_lo = scratch
+    np.subtract(16, x, out=d)
+    _POW10_HI.take(d, out=hi, mode="clip")  # 0 <= k <= 22: nothing is clipped
+    _POW10_LO.take(d, out=lo, mode="clip")
+    np.add(hi, lo, out=p)
+    p *= a
+    np.multiply(a, _SPLITTER, out=a_hi)
+    np.subtract(a_hi, a, out=a_lo)
+    a_hi -= a_lo
+    np.subtract(a, a_hi, out=a_lo)
+    # e = ((a_hi hi - p) + a_hi lo + a_lo hi) + a_lo lo, each step exact
+    e = d.view(np.float64)
+    np.multiply(a_hi, hi, out=e)
+    e -= p
+    a_hi *= lo
+    e += a_hi
+    hi *= a_lo
+    e += hi
+    a_lo *= lo
+    e += a_lo
+    np.rint(e, out=e)
+    rounding = a_hi.view(np.int64)
+    np.copyto(rounding, e, casting="unsafe")
+    np.copyto(d, p, casting="unsafe")
+    d += rounding
 
 
 def _digit_buffers(n: int) -> tuple[np.ndarray, ...]:
-    """Scratch for _decimal_digits of up to n values."""
-    return (np.empty((2, n), dtype=np.longdouble), np.empty(n), np.empty(n, dtype=np.int64),
-            np.empty(n, dtype=bool))
+    """Scratch for _decimal_digits of up to n values: five float rows, the
+    rows of D and X, and a mask."""
+    return np.empty((5, n)), np.empty((2, n), dtype=np.int64), np.empty(n, dtype=bool)
 
 
 def _decimal_digits(a, buffers):
     """(D, X): a = D 10^(X-16) to 17 significant digits, as %.17g rounds.
 
-    For finite a with 1e-4 <= a < 1e16.  With X = floor(log10 a) and
-    k = 16 - X <= 20, 10^k and a are exact in long double, so their product
-    P is rounded once, to 64 bits: P < 2^57, so it is off by at most 2^-7.
-    D is P rounded to an integer; it is exact unless P lies within 2^-6 of
-    a tie, or D within one of 10^16 or 10^17, where X may be one off.
-    Those few values are redone by _exact_digits.  The steps run in
-    buffers (_digit_buffers of at least a's length), and D and X are rows
-    of it."""
-    if not _WIDE:
-        return _exact_digits(a)
-    (power, product), log, x, unsure = (b[..., :a.size] for b in buffers)
+    For finite a with 1e-4 <= a < 1e16, in IEEE double.  X starts as
+    floor(log10 a), and D is a 10^(16-X) rounded half to even, exact from
+    _digits_at.  Next to a power of ten log10 can put X one off; then D
+    falls outside [10^16, 10^17), and those few values are redone with X
+    moved by one.  D == 10^16 with X one high would need a double within
+    5e-17 relative below a power of ten, and D == 10^17 with X right one
+    within 5e-18; no double in the range lies that close.  The steps run
+    in buffers (_digit_buffers of at least a's length), and D, as uint64,
+    and X are rows of it."""
+    floats, (d, x), off = (b[..., :a.size] for b in buffers)
+    log = floats[0]
     np.log10(a, out=log)
     np.floor(log, out=log)
     np.copyto(x, log, casting="unsafe")
-    d = log.view(np.uint64)
-    _POW10_LD.take(16 - x, out=power, mode="clip")  # 0 <= k <= 20: nothing is clipped
-    np.multiply(a, power, out=product)
-    np.rint(product, out=power)
-    np.copyto(d, power, casting="unsafe")
-    product -= power
-    np.abs(product, out=product)
-    np.greater_equal(product, 0.5 - 2.0 ** -6, out=unsure)
-    unsure |= d <= 10**16
-    unsure |= d >= 10**17 - 1
-    off = np.flatnonzero(unsure)
+    _digits_at(a, x, d, floats)
+    np.less(d, 10**16, out=off)
+    off |= d >= 10**17
+    off = np.flatnonzero(off)
     if off.size:
-        d[off], x[off] = _exact_digits(a[off])
-    return d, x
+        x[off] += np.where(d[off] < 10**16, -1, 1)
+        redone = np.empty(off.size, dtype=np.int64)
+        _digits_at(a[off], x[off], redone, np.empty((5, off.size)))
+        d[off] = redone
+    return d.view(np.uint64), x
 
 
 def _format_buffers(n: int) -> tuple[np.ndarray, ...]:
@@ -257,12 +261,15 @@ def _format_rows(x_a, p_a, accepted, x_b, buffers) -> bytes:
     fast = (a >= 1e-4) & (a < 1e16)
     a[~fast] = 1.0
     d, x = _decimal_digits(a, digit_buffers)
-    hi, lo = (d // 10**8).astype(np.uint32), (d % 10**8).astype(np.uint32)
+    hi = d // 10**8
+    lo = (d - hi * 10**8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
     # D as one leading digit and four groups of four, each group one uint32
     # of ASCII digits; the leading "0000" makes the row "0000" + D
-    groups = (hi // 10**8, hi // 10**4 % 10**4, hi % 10**4, lo // 10**4, lo % 10**4)
+    top, mid = np.divmod(hi, 10**4)
+    groups = (top // 10**4, top % 10**4, mid, *np.divmod(lo, 10**4))
     for col, g in enumerate(groups, 1):
-        quads[:, col] = _QUAD[g]
+        _QUAD.take(g, out=quads[:, col], mode="clip")  # g < 10^4: nothing is clipped
     # trailing zeros of D, group by group from the right (d0 is not 0)
     zeros = _QUAD_ZEROS[groups[4]]
     for i, g in enumerate(groups[3:0:-1], 1):
@@ -270,9 +277,8 @@ def _format_rows(x_a, p_a, accepted, x_b, buffers) -> bytes:
         zeros[more] += _QUAD_ZEROS[g[more]]
     # key ((slot 2 + sign) 21 + X + 4) 18 + 17 - zeros
     np.multiply(x, 18, out=key)
-    key.reshape(n, 3)[:] += [0, 756, 1512]
+    key.reshape(n, 3)[:] += [89, 845, 1601]
     np.add(key, 378, out=key, where=sign)
-    key += 89
     key -= zeros
     rows.reshape(3 * n, _SLOT)[:, 1:43:2] = quads.view(np.uint8)[:, 3:]
     np.add(accepted.view(np.uint8), ord("0"), out=rows[:, _SLOT + 44])
@@ -489,12 +495,14 @@ def _exact_values(text, pad, starts, ends, sign, frac, fast, value, digit_buffer
     digits with the token's exponent: every double's 17-digit decimal reads
     back to that double, so strtod, and np.loadtxt, give the candidate.
     Other values are left unproven.  digit_buffers are _decimal_digits'
-    buffers, replaced by larger ones when they are too small; their long
-    double rows also hold D and 10^frac."""
+    buffers, replaced by larger ones when they are too small; D and 10^frac
+    in long double fill the start of their float rows, which
+    _decimal_digits only uses after the candidates are made."""
     if value.size > digit_buffers[-1].size:
         digit_buffers = _digit_buffers(value.size)
     digits, frac, exact = _token_digits(text, pad, starts, ends, sign, frac)
-    wide, power = digit_buffers[0][:, :value.size]
+    wide = digit_buffers[0].reshape(-1).view(np.uint8)[:2 * value.size * _POW10_LD.itemsize]
+    wide, power = wide.view(np.longdouble).reshape(2, -1)
     np.copyto(wide, digits)
     _POW10_LD.take(frac, out=power, mode="clip")  # frac is clipped already
     np.divide(wide, power, out=value, casting="unsafe")
@@ -530,13 +538,17 @@ def _parse_block(text, pad, out, acc, digit_buffers):
     return rows, unproven, starts[unproven], ends[unproven]
 
 
-def _read_buffers() -> tuple[bytearray, tuple[np.ndarray, ...]]:
+def _read_buffers() -> tuple[bytearray, np.ndarray, tuple[np.ndarray, ...]]:
     """One reader worker's buffers: a block of _READ_BLOCK bytes after
-    _FIELD bytes of pad, and _decimal_digits' buffers for the tokens of a
-    block of lines of 56 bytes or more (an export line of values with 17
-    significant digits takes at least 59)."""
+    _FIELD bytes of pad, a mask of the block's newlines, and
+    _decimal_digits' buffers for the tokens of a block of lines of 56 bytes
+    or more (an export line of values with 17 significant digits takes at
+    least 59)."""
     buf = bytearray(_FIELD + _READ_BLOCK)
-    return buf, _digit_buffers(3 * (_READ_BLOCK // 56))
+    digit_buffers = _digit_buffers(3 * (_READ_BLOCK // 56))
+    # the newline mask is the start of the float rows (5 (3 / 56) 8 bytes
+    # per block byte), which a worker only uses once it has counted lines
+    return buf, digit_buffers[0].reshape(-1).view(bool)[:_READ_BLOCK], digit_buffers
 
 
 def _read_exact(path):
@@ -563,9 +575,10 @@ def _read_exact(path):
         lock = threading.Lock()
         carry, rows_read, ended = b"", 0, False
 
-        def read_block(buf):
+        def read_block(buf, newlines):
             # read the next block into buf: the end of its whole lines, its
-            # first row and its line count; the lock is held
+            # first row and its line count, counted in the mask newlines
+            # (~6x as fast as bytearray.count); the lock is held
             nonlocal carry, rows_read, ended
             view = memoryview(buf)
             buf[_FIELD:_FIELD + len(carry)] = carry
@@ -582,15 +595,17 @@ def _read_exact(path):
             last = max(last, _FIELD)
             carry = bytes(view[last:end])
             first = rows_read
-            rows_read += buf.count(b"\n", _FIELD, last)
+            lines = newlines[:last - _FIELD]
+            np.equal(np.frombuffer(buf, dtype=np.uint8, count=last)[_FIELD:], 10, out=lines)
+            rows_read += np.count_nonzero(lines)
             if rows_read > n:
                 raise ValueError("more lines than n_samples")
             return last, first, rows_read - first
 
         def parse(_, buffers):
-            buf, digit_buffers = buffers
+            buf, newlines, digit_buffers = buffers
             with lock:
-                last, first, rows = read_block(buf)
+                last, first, rows = read_block(buf, newlines)
             if not rows:
                 return []
             text = np.frombuffer(buf, dtype=np.uint8, count=last)

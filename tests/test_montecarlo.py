@@ -783,6 +783,27 @@ class TestExactLoader:
         assert_bit_identical(load_records(str(path)), recs)
         assert seen == [exponents]
 
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    def test_lines_straddling_many_blocks(self, suffix, monkeypatch, tmp_path):
+        # 2 KB blocks: a 10^4-row export spans hundreds of them, nearly each
+        # ending inside a line that the next block's read carries on
+        monkeypatch.setattr(records, "_READ_BLOCK", 2048)
+        x, p, acc, y = gaussian_records(10**4, seed=13)
+        path = str(tmp_path / ("records" + suffix))
+        export_records(ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=y), path)
+        parse_block, blocks = records._parse_block, []
+
+        def count(*args):
+            blocks.append(args[0].size)
+            return parse_block(*args)
+
+        monkeypatch.setattr(records, "_parse_block", count)
+        # the exact reader itself, which raises rather than fall back
+        got = load_outcome(records._read_exact, path)
+        assert len(blocks) > 300
+        assert got == load_outcome(reference_load_records, path)
+        assert load_outcome(load_records, path) == got
+
 
 class TestCodecWorkers:
     """Failures inside export_records' and load_records' worker threads."""

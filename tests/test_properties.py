@@ -20,7 +20,11 @@ Over random (v, t, k, eta_d, distance, epsilon):
 - the record formatter prints the bytes of "%.17g" for any float: signed
   zeros, subnormals, inf, nan and huge values, every double within 2000
   ulps of a power of ten in its fixed-notation range, and binary fractions
-  that are exact decimal ties at 17 digits, with or without long double;
+  that are exact decimal ties at 17 digits;
+- the float64 digit kernel gives the 17 digits and decimal exponent of
+  Python's "%.16e" in every decade, at every power of ten it scales by,
+  for all-ones mantissas, next to rounding ties and next to powers of ten,
+  and its split powers of ten are exact;
 - records exported and loaded again, on one worker or two, .txt or .gz,
   come back bit for bit at lengths around the export's chunk and window
   edges, with zeros, subnormals, inf, nan and exponent forms at random rows.
@@ -281,6 +285,22 @@ def assert_prints_percent_17g(values):
         assert _format_rows(*chunk, buffers) == percent_rows(*chunk)
 
 
+def percent_digits(values):
+    # (D, X) of each value from Python's "%.16e": its 17 significant
+    # digits, correctly rounded half to even, and its decimal exponent
+    parts = ["%.16e" % v for v in values.tolist()]
+    digits = [int(part[:18].replace(".", "")) for part in parts]
+    return digits, [int(part[19:]) for part in parts]
+
+
+def assert_decimal_digits(values):
+    values = np.asarray(values, dtype=float)
+    d, x = records._decimal_digits(values, records._digit_buffers(values.size))
+    want_d, want_x = percent_digits(values)
+    assert d.tolist() == want_d
+    assert x.tolist() == want_x
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 2.5e-310, math.inf,
                   -math.inf, math.nan, 1e300, -1e300, 9.9999999999999991e-05, 1e-4,
                   1e16, 9999999999999998.0, 1.7976931348623157e308]
@@ -294,11 +314,29 @@ def test_record_formatter_prints_percent_17g(values):
 
 
 def test_record_formatter_near_powers_of_ten():
-    # log10 can put the decimal exponent one off here
+    # log10 can put the decimal exponent one off here, and the digit kernel
+    # redoes those values
     ulps = np.arange(-2000, 2001)
     values = np.concatenate([(np.float64(10.0 ** e).view(np.int64) + ulps).view(np.float64)
-                             for e in range(-4, 16)])
+                             for e in range(-4, 17)])
+    assert_decimal_digits(values[(values >= 1e-4) & (values < 1e16)])
     assert_prints_percent_17g(np.concatenate([values, -values]))
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf], ids=["low", "high"])
+def test_decimal_digits_survive_a_log10_one_ulp_off(toward, monkeypatch):
+    # a log10 that is not correctly rounded puts X one low or one high next
+    # to a power of ten; the kernel redoes those values with X moved
+    log10 = np.log10
+
+    def nudged(a, out):
+        return np.nextafter(log10(a, out=out), toward, out=out)
+
+    monkeypatch.setattr(records.np, "log10", nudged)
+    ulps = np.arange(-50, 51)
+    values = np.concatenate([(np.float64(10.0 ** e).view(np.int64) + ulps).view(np.float64)
+                             for e in range(-3, 16)])
+    assert_decimal_digits(values)
 
 
 def test_record_formatter_rounds_decimal_ties_to_even():
@@ -318,14 +356,72 @@ def test_record_formatter_rounds_decimal_ties_to_even():
     assert_prints_percent_17g(np.concatenate([values, -values]))
 
 
-def test_record_formatter_without_long_double(monkeypatch):
-    # where long double is a double, every value takes the exact integer
-    # path, which prints the same bytes
-    monkeypatch.setattr(records, "_WIDE", False)
-    rng = np.random.default_rng(18)
-    values = np.concatenate([rng.normal(0.0, 3.0, 4000), SPECIAL_FLOATS,
-                             [np.nextafter(10.0 ** e, 0.0) for e in range(-4, 17)]])
+def test_decimal_digits_in_every_decade():
+    # log-uniform values over each decade of the kernel's range, X = -4 .. 15,
+    # and the digits at every k = 16 - X of the power tables, 0 .. 22, with
+    # X given: a in [10^(16-k), 10^(17-k)), so a 10^k has 17 digits
+    rng = np.random.default_rng(28)
+    assert_decimal_digits(10.0 ** rng.uniform(-4.0, 16.0, 20_000))
+    for k in range(23):
+        a = 10.0 ** rng.uniform(16 - k, 17 - k, 500)
+        x = np.full(a.size, 16 - k)
+        d = np.empty(a.size, dtype=np.int64)
+        records._digits_at(a, x, d, np.empty((5, a.size)))
+        assert d.tolist() == percent_digits(a)[0], k
+
+
+def test_decimal_digits_of_all_ones_mantissas():
+    # mantissas of j ones, 2^j - 1 for j = 1 .. 53, at every binary
+    # exponent in the range
+    values = [(2**j - 1) * 2.0 ** e for j in range(1, 54) for e in range(-80, 60)]
+    values = np.array([v for v in values if 1e-4 <= v < 1e16])
+    assert values.size > 3000
+    assert_decimal_digits(values)
+
+
+def near_ties(rng):
+    # doubles a = m 2^-(s+k) with a 10^k = m 5^k / 2^s in [10^16, 10^17)
+    # and its fraction within 2^-40 of 1/2: m 5^k mod 2^s = t for t within
+    # 2^(s-40) of 2^(s-1), and m any such residue in [2^52, 2^53).  Only
+    # k >= 18 leaves a 10^k more than 40 fraction bits: a < 0.1
+    values = []
+    for k in range(23):
+        for s in range(41, 60):
+            lo = max(2**52, -(-(10**16 << s) // 5**k))
+            hi = min(2**53, (10**17 << s) // 5**k)
+            if lo >= hi:
+                continue
+            inverse = pow(5**k, -1, 2**s)
+            width = 2 ** (s - 40)
+            for offset in [-width, -1, 0, 1, width] + rng.integers(-width, width + 1, 60).tolist():
+                residue = (2 ** (s - 1) + offset) * inverse % 2**s
+                first = lo + (residue - lo) % 2**s
+                if first >= hi:
+                    continue
+                m = first + int(rng.integers(0, (hi - 1 - first) // 2**s + 1)) * 2**s
+                assert abs(m * 5**k % 2**s - 2 ** (s - 1)) <= width
+                values.append(math.ldexp(m, -(s + k)))
+    return np.array(values)
+
+
+def test_decimal_digits_next_to_rounding_ties():
+    values = near_ties(np.random.default_rng(29))
+    values = values[(values >= 1e-4) & (values < 1e16)]
+    assert values.size > 500
+    assert_decimal_digits(values)
     assert_prints_percent_17g(np.concatenate([values, -values]))
+
+
+def test_power_tables_split_each_power_exactly():
+    for table in (records._POW10_HI, records._POW10_LO):
+        assert table.dtype == np.float64 and not table.flags.writeable
+    for k, (hi, lo) in enumerate(zip(records._POW10_HI.tolist(), records._POW10_LO.tolist())):
+        assert Decimal(hi) + Decimal(lo) == 10**k
+        assert hi + lo == float(10**k)
+        for half in (hi, lo):
+            # the odd part of the numerator holds a double's significant bits
+            numerator = abs(half.as_integer_ratio()[0])
+            assert half == 0.0 or (numerator // (numerator & -numerator)).bit_length() <= 26
 
 
 @st.composite

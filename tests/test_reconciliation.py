@@ -674,6 +674,14 @@ class TestBench:
         with pytest.raises(DomainError):
             matched_channel(src, 50.0, 0.01)
 
+    @pytest.mark.parametrize("n", [5000, 65536])
+    def test_block_bits_are_one_integer_draw(self, n):
+        # the chunked uint8 draw takes the words of one int64 draw
+        got = bench_module._random_bits(np.random.default_rng(5), n)
+        want = np.random.default_rng(5).integers(0, 2, n).astype(np.uint8)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
     def test_gaussian_pairs_validation(self):
         with pytest.raises(DomainError):
             gaussian_pairs(0.0, 100, seed=1)
