@@ -65,7 +65,7 @@ for name, got, want, se in rows_l:
 
 # rescale the first run's records to a 0.5 tap with an ideal counter
 spec = RescaleSpec(20.0, 0.8, 0.5)
-_, est2 = rescale_and_filter(res.records, spec, 1, SEED + 1)
+est2 = rescale_and_filter(res.records, spec, 1, SEED + 1)
 fresh = covariance_subtracted(SourceSpec.k_photon(spec.v_prime, 0.5, 1))
 post2 = apply_channel(fresh.cov, ch)
 print(f"\nrescaled to tap eta = 0.5: gain g = {spec.g:.5f}, "

@@ -481,7 +481,7 @@ def _cmd_rescale(args) -> int:
     src0 = SourceSpec.k_photon(args.v, args.t0, args.k)
     res = run_experiment(src0, ch, args.n, seed, keep_records=True)
     # refilter consumes seed + 1 so the run and the fresh uniforms never share a stream
-    _, est = rescale_and_filter(res.records, spec, args.k, seed + 1)
+    est = rescale_and_filter(res.records, spec, args.k, seed + 1)
     fresh = covariance_subtracted(SourceSpec.k_photon(spec.v_prime, args.eta, args.k))
     post = apply_channel(fresh.cov, ch)
     identity_defect = abs(math.sqrt(args.eta) * spec.lam_prime * spec.g

@@ -8,7 +8,9 @@ moment estimators reconstruct the post-channel covariance in the same
 convention as the analytic chain, with Gaussian-formula standard errors
 (which run a little small, since the accepted marginal is not Gaussian).  A
 linear rescaling converts records taken at one tap transmittance into a
-postselection for another, without new quantum data.
+postselection for another, without new quantum data; it reads the records
+once, in blocks, and packs the accepted rows as a streaming run does, so
+it makes no scaled copy of them.
 
 Sampling is chunked; each chunk owns an independent child stream of the run
 seed and chunk sums are reduced in chunk order with compensated summation,
@@ -197,13 +199,6 @@ def _accept_block(rng, src: SourceSpec, x, p, mask, blocks) -> None:
     np.less(u, q, out=mask)
 
 
-def _accept_into(rng, src: SourceSpec, x, p, acc, blocks) -> None:
-    """Write into acc, block by block, the rows _accept_block accepts."""
-    for lo in range(0, x.size, _BLOCK):
-        hi = min(lo + _BLOCK, x.size)
-        _accept_block(rng, src, x[lo:hi], p[lo:hi], acc[lo:hi], blocks)
-
-
 def _normal_into(rng, sd: float, out) -> None:
     """Fill out with the doubles of rng.normal(0.0, sd, out.size).
 
@@ -230,7 +225,9 @@ def _draw_chunk(rng, src: SourceSpec, ch: ChannelSpec, x, p, y, acc,
     buffers; _draw_packed keeps this order.
     """
     _draw_sender(rng, src, x, p)
-    _accept_into(rng, src, x, p, acc, blocks)
+    for lo in range(0, x.size, _BLOCK):
+        hi = min(lo + _BLOCK, x.size)
+        _accept_block(rng, src, x[lo:hi], p[lo:hi], acc[lo:hi], blocks)
     mean_coef, noise_sd = _receiver(src, ch)
     noise = blocks[2]
     for lo in range(0, x.size, _BLOCK):
@@ -242,6 +239,18 @@ def _draw_chunk(rng, src: SourceSpec, ch: ChannelSpec, x, p, y, acc,
         np.multiply(mean_coef, x[lo:hi], out=y[lo:hi])
         y[lo:hi] += z
     return _chunk_sums(x, p, y, acc)
+
+
+def _pack(mask, parts, columns, start: int) -> int:
+    """Write the rows of each part that mask keeps into its column from row
+    start, in order; return the row after them.
+
+    compress copies, so a column may overlap the part it is read from as
+    long as start is not past the part's first row."""
+    for part, column in zip(parts, columns):
+        kept = part.compress(mask)
+        column[start:start + kept.size] = kept
+    return start + kept.size
 
 
 def _draw_packed(rng, src: SourceSpec, ch: ChannelSpec, x, p, acc,
@@ -259,11 +268,7 @@ def _draw_packed(rng, src: SourceSpec, ch: ChannelSpec, x, p, acc,
         hi = min(lo + _BLOCK, x.size)
         mask = acc[lo:hi]
         _accept_block(rng, src, x[lo:hi], p[lo:hi], mask, blocks)
-        # compress copies, so the write may overlap the block it reads
-        xs, ps = x[lo:hi].compress(mask), p[lo:hi].compress(mask)
-        x[n_acc:n_acc + xs.size] = xs
-        p[n_acc:n_acc + xs.size] = ps
-        n_acc += xs.size
+        n_acc = _pack(mask, (x[lo:hi], p[lo:hi]), (x, p), n_acc)
     sum_p = float(p[:n_acc].sum())
     mean_coef, noise_sd = _receiver(src, ch)
     noise, y, done = blocks[2], p, 0
@@ -350,20 +355,40 @@ def collect_accepted_pairs(src: SourceSpec, ch: ChannelSpec, n_pairs: int,
 
 
 def rescale_and_filter(records: ExperimentRecords, spec: RescaleSpec, k: int,
-                       seed: int) -> tuple[ExperimentRecords, MomentEstimate]:
-    """Rescale recorded sender data and re-run the acceptance filter.
+                       seed: int) -> MomentEstimate:
+    """Estimate the moments of recorded data rescaled and re-filtered for another tap.
 
     Scales both sender quadratures by spec.g, then filters with the k-click
     acceptance of a (v_prime, eta) source using fresh uniforms from seed.
     The receiver column is untouched; the sent-amplitude identity makes the
     accepted subset match a genuine (v_prime, eta, k) run through the same
-    channel, which the returned estimate lets callers verify.
+    channel, which the estimate lets callers verify.
+
+    The records are read once, in _BLOCK-row blocks.  Each block is scaled
+    into the next free rows of two packed columns and decided there, and
+    its accepted rows move to the packed fronts, as _draw_packed does; the
+    accepted x_b then go over the summed p_a.  The estimate is the
+    _chunk_sums of the scaled columns, bit for bit, with the uniforms of
+    one draw over all rows; no scaled copy of the records is made.
     """
     src = SourceSpec.k_photon(spec.v_prime, spec.eta, k)
-    x = spec.g * records.x_a
-    p = spec.g * records.p_a
-    acc = np.empty(x.size, dtype=bool)
-    _accept_into(np.random.default_rng(np.random.SeedSequence(seed)), src, x, p, acc,
-                 _block_buffers(x.size))
-    out = ExperimentRecords(x_a=x, p_a=p, accepted=acc, x_b=records.x_b)
-    return out, _estimate([_chunk_sums(x, p, records.x_b, acc)], len(records))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n = len(records)
+    x, p = np.empty(n), np.empty(n)
+    acc = np.empty(n, dtype=bool)
+    blocks = _block_buffers(n)
+    n_acc = 0
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        # rows n_acc .. n_acc + hi - lo are free, since n_acc <= lo
+        rows = slice(n_acc, n_acc + hi - lo)
+        np.multiply(spec.g, records.x_a[lo:hi], out=x[rows])
+        np.multiply(spec.g, records.p_a[lo:hi], out=p[rows])
+        _accept_block(rng, src, x[rows], p[rows], acc[lo:hi], blocks)
+        n_acc = _pack(acc[lo:hi], (x[rows], p[rows]), (x, p), n_acc)
+    sum_p = float(p[:n_acc].sum())
+    done = 0
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        done = _pack(acc[lo:hi], (records.x_b[lo:hi],), (p,), done)
+    return _estimate([_packed_sums(x[:n_acc], p[:n_acc], sum_p)], n)

@@ -243,7 +243,7 @@ def test_pump_rescaling_identity_and_statistics():
     ch = ChannelSpec(t_c=0.1, epsilon=EPS0)
     res = run_experiment(SourceSpec.k_photon(V0, 0.8, 1), ch, 1_000_000,
                          seed=31, keep_records=True)
-    _, est = rescale_and_filter(res.records, spec, 1, seed=99)
+    est = rescale_and_filter(res.records, spec, 1, seed=99)
     fresh = covariance_subtracted(SourceSpec.k_photon(spec.v_prime, 0.5, 1))
     post = apply_channel(fresh.cov, ch)
     band = 3.0 * SE_INFLATION
