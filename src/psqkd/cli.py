@@ -515,6 +515,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.blocks < 1:
+        raise DomainError(f"--blocks must be >= 1, got {args.blocks}")
     seed = _resolve_seed(args)
     if args.alist:
         code = load_alist(args.alist)

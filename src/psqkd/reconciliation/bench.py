@@ -12,6 +12,7 @@ published code.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,11 @@ from .ldpc import LdpcCode
 from .multidim import OctetBuffers, block_llr, encode_side_info, snr_estimate
 
 # Codes with fewer edges decode their blocks on one worker.  On a 2-core
-# host (8 blocks at snr 0.1626, median of 5 calls, three processes each),
-# two workers took 0.67-0.70 of one worker's time at 101 581 edges, 0.86-1.31
-# of it at 50 789 and 0.99-1.73 at 12 699, where the GIL hand-offs between
-# short NumPy steps outweigh the overlap.
+# host (8 blocks at snr 0.1626, median of 5 calls, six processes each),
+# two workers took 0.60-0.91 of one worker's time at 101 581 edges,
+# 0.52-1.02 of it at 50 789 (eleven processes), 1.07-1.72 at 25 394 and
+# 0.77-1.95 at 12 699, where the GIL hand-offs between short NumPy steps
+# outweigh the overlap.
 _PARALLEL_EDGES = 1 << 16
 # Bits a block's draw takes per call; see _random_bits
 _BIT_CHUNK = 1 << 12
@@ -133,12 +135,12 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
 
     Blocks are decoded on the shared worker pool (psqkd._pool), one
     per usable CPU and two at most, or one for a code of fewer than
-    _PARALLEL_EDGES edges.  Each works in its own bp.Workspace, which the
-    calling thread allocates once before any worker starts.  The
-    calling thread also prepares each round of blocks, one per worker:
-    bits, side information, LLRs and syndrome.  It prepares them in one
-    multidim.OctetBuffers and leaves each block's float32 LLRs in an array
-    of its worker's, all allocated once per call.  Results are taken in
+    _PARALLEL_EDGES edges.  Each worker takes the next block, prepares it
+    (bits, side information, LLRs and syndrome) and decodes it, so one
+    worker prepares while the other decodes.  The calling thread
+    allocates every buffer once before any worker starts: a bp.Workspace
+    and a float32 LLR array per worker, and one multidim.OctetBuffers
+    that the workers take turns in under a lock.  Results are taken in
     block order, so the report is the same, bit for bit, for any worker
     count.
     """
@@ -162,31 +164,27 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
     code.slots
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     workers = worker_count(n_blocks) if code.n_edges >= _PARALLEL_EDGES else 1
-    workspaces = [Workspace(code) for _ in range(workers)]
-    # one block's preparation works in these octet arrays, and block j of a
-    # round leaves its LLRs in llrs[j] until its worker decodes them
-    buffers = OctetBuffers(code.n)
-    llrs = [np.empty(code.n, dtype=np.float32) for _ in workspaces]
+    # each worker decodes in its own workspace and leaves its block's LLRs
+    # in its own array; the preparation's octet arrays are shared
+    per_worker = [(Workspace(code), np.empty(code.n, dtype=np.float32)) for _ in range(workers)]
+    buffers, lock = OctetBuffers(code.n), threading.Lock()
 
-    def prepared(b, llr):
+    def decoded(b, worker):
         # Bob's bits, the block's snr estimate, Alice's LLRs rounded to
-        # float32 as decode_syndrome rounds them, and the syndrome; None
-        # for a block with a zero-norm octet
+        # float32 as decode_syndrome rounds them, and the decode of the
+        # syndrome; None for a block with a zero-norm octet.  The syndrome
+        # reads only code.slots, so it needs no lock
+        workspace, llr = worker
         sl = slice(b * code.n, (b + 1) * code.n)
         bits = _random_bits(np.random.default_rng(children[b]), code.n)
         try:
-            alpha, _ = encode_side_info(y[sl].reshape(-1, 8), bits, buffers)
-            est = snr_estimate(x[sl], y[sl])
-            block_llr(x[sl].reshape(-1, 8), alpha, est, buffers, out=llr)
+            with lock:
+                alpha, _ = encode_side_info(y[sl].reshape(-1, 8), bits, buffers)
+                est = snr_estimate(x[sl], y[sl])
+                block_llr(x[sl].reshape(-1, 8), alpha, est, buffers, out=llr)
         except DegenerateBlockError:
             return None
-        return bits, est, llr, code.syndrome(bits)
-
-    def decoded(block, workspace):
-        if block is None:
-            return None
-        bits, est, llr, syndrome = block
-        got, iters = decode_syndrome(code, llr, syndrome, max_iter, workspace)
+        got, iters = decode_syndrome(code, llr, code.syndrome(bits), max_iter, workspace)
         return est, got is not None and np.array_equal(got, bits), iters
 
     successes = 0
@@ -194,23 +192,18 @@ def bench(x, y, code: LdpcCode, n_blocks: int, seed: int,
     attempted = 0
     iters_sum = 0
     snr_sum = 0.0
-    for lo in range(0, n_blocks, len(workspaces)):
-        # the calling thread prepares a round of blocks, one per worker, so
-        # the workers allocate almost nothing; a round ends with its slowest
-        # block and is released before the next is prepared.  Results come
-        # in block order, so the sums run in one order for any worker count
-        blocks = range(lo, min(lo + len(workspaces), n_blocks))
-        for result in ordered([prepared(b, llr) for b, llr in zip(blocks, llrs)], decoded,
-                              workspaces[:len(blocks)]):
-            if result is None:
-                skipped += 1
-                continue
-            est, success, iters = result
-            attempted += 1
-            snr_sum += est
-            if success:
-                successes += 1
-                iters_sum += iters
+    # results come in block order, so the sums run in one order for any
+    # worker count
+    for result in ordered(range(n_blocks), decoded, per_worker):
+        if result is None:
+            skipped += 1
+            continue
+        est, success, iters = result
+        attempted += 1
+        snr_sum += est
+        if success:
+            successes += 1
+            iters_sum += iters
     avg = iters_sum / successes if successes else float("nan")
     return BenchReport(
         code_rate=code.rate,

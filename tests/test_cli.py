@@ -310,6 +310,18 @@ class TestExitCodes:
     def test_oracle_needs_a_scheme(self):
         assert main(["oracle", "--v", "6"]) == 1
 
+    @pytest.mark.parametrize("blocks", ["0", "-3"])
+    def test_bench_rejects_fewer_than_one_block_before_any_work(self, blocks, capsys,
+                                                                monkeypatch):
+        # the error names the flag, not the sample count it would lead to,
+        # and comes before the code is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("peg_construct reached")
+
+        monkeypatch.setattr(cli, "peg_construct", refuse)
+        assert main(["bench", "--code-n", "512", "--blocks", blocks, "--seed", "1"]) == 1
+        assert capsys.readouterr().err == f"psqkd: error: --blocks must be >= 1, got {blocks}\n"
+
 
 # header keys a command appends after its flags
 DERIVED = {"montecarlo": ["n_accepted"], "rescale": ["g", "v_prime", "identity_defect"]}

@@ -1,7 +1,8 @@
 """The package imports only the standard library, NumPy and itself, its
 CLI does not pull in the standard library's hashing or thread-pool modules,
-it builds no table on first use, its modules share no new private names,
-and every function the benchmark's tracer wraps exists under its name."""
+only its worker pool starts threads, it builds no table on first use, its
+modules share no new private names, and every function the benchmark's
+tracer wraps exists under its name."""
 
 import ast
 import importlib
@@ -55,6 +56,27 @@ def test_cli_import_loads_no_thread_pool():
     # the worker pool (psqkd._pool) starts plain threads when it runs; an
     # executor would add concurrent.futures to every CLI start
     assert modules_loaded_by_cli_import({"concurrent.futures"}) == "[]"
+
+
+def thread_constructions(path):
+    """The line of each threading.Thread a file names, as an attribute or an
+    import."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr == "Thread"
+                and isinstance(node.value, ast.Name) and node.value.id == "threading"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+            yield from (node.lineno for alias in node.names if alias.name == "Thread")
+
+
+def test_only_the_pool_starts_threads():
+    # every caller runs its work through psqkd._pool.ordered, with buffers
+    # it allocates once, rather than a thread layer of its own
+    found = {f"{path.relative_to(PACKAGE)}:{line}" for path in sorted(PACKAGE.rglob("*.py"))
+             for line in thread_constructions(path)}
+    assert found, "the pool starts no thread"
+    outside = sorted(key for key in found if not key.startswith("_pool.py:"))
+    assert not outside, f"start threads through psqkd._pool instead: {outside}"
 
 
 def test_no_first_use_caches():

@@ -4,6 +4,7 @@ and the bench harness at desk scale."""
 import hashlib
 import heapq
 import importlib
+import itertools
 import math
 import threading
 import tracemalloc
@@ -706,10 +707,10 @@ class TestBenchWorkers:
 
     @pytest.mark.parametrize("zero_octet", [None, 2], ids=["decoding", "degenerate-middle"])
     def test_two_workers_give_the_one_worker_report(self, zero_octet, code2048, monkeypatch):
-        # five blocks, two rounds of two and one of one; at snr 0.35 one
-        # block decodes and four do not.  A zero octet in block 2 skips it,
-        # so the skip count and the order of the snr sum are checked too.
-        # repr compares every field bit for bit, nan included
+        # five blocks, each taken by whichever worker is free; at snr 0.35
+        # one block decodes and four do not.  A zero octet in block 2 skips
+        # it, so the skip count and the order of the snr sum are checked
+        # too.  repr compares every field bit for bit, nan included
         x, y = gaussian_pairs(0.35, 5 * code2048.n, seed=40)
         if zero_octet is not None:
             y = y.copy()
@@ -742,15 +743,14 @@ class TestBenchWorkers:
     def test_two_workers_hold_two_workspaces_and_one_block(self, code32k, monkeypatch):
         # the calling thread allocates one workspace per worker, ~52 bytes
         # per symbol (4.2 edge-sized float32 arrays at ~3.1 edges per
-        # symbol), and prepares each round of blocks while no worker
-        # decodes.  The rest of the peak, measured at 44-47 bytes per
-        # symbol, comes while both workers decode: the preparation's
-        # buffers, allocated once, of three octet arrays (24) and the norms
-        # (1); each worker's float32 LLRs (8); the round's bits and
-        # syndromes (~4); and each decode's casting buffers, ~160 KB (~10
-        # at this n).  Preparing in new arrays for every block peaked at
-        # ~57, and workers that prepared their own blocks and decoded in
-        # arrays allocated on every iteration at ~187, above this bound's 154
+        # symbol).  The rest of the peak, measured at 43-47 bytes per
+        # symbol, comes while one worker prepares its next block and the
+        # other decodes: the preparation's buffers, allocated once, of
+        # three octet arrays (24) and the norms (1); each worker's float32
+        # LLRs (8); the two blocks' bits and syndromes (~4); and a decode's
+        # casting buffers, ~160 KB (~10 at this n).  Preparing in new
+        # arrays for every block peaked at ~57, and decoding in arrays
+        # allocated on every iteration at ~187, above this bound's 154
         workers(monkeypatch, 2)
         code, n = code32k, code32k.n
         code.slots
@@ -767,30 +767,64 @@ class TestBenchWorkers:
             tracemalloc.stop()
         assert peak < bound, f"peak {peak / edge:.2f} edge arrays, bound {bound / edge:.2f}"
 
+    @pytest.mark.parametrize("phase", ["prepare", "decode"])
     @pytest.mark.parametrize("failing", ["calling", "other"])
-    def test_error_in_either_worker_reaches_the_caller(self, failing, code512, monkeypatch):
-        # whichever worker decodes the failing block, bench raises its error
-        # once both workers have stopped; the calling thread waits until the
-        # other worker holds a block, so each takes one
+    def test_error_in_either_worker_reaches_the_caller(self, failing, phase, code512,
+                                                       monkeypatch):
+        # whichever worker fails, preparing its block or decoding it, bench
+        # raises its error once both workers have stopped; each worker's
+        # first draw of a block's bits waits for the other's, so each holds
+        # a block and neither takes them all
         workers(monkeypatch, 2)
-        real, other_started = bench_module.decode_syndrome, threading.Event()
+        name = {"prepare": "encode_side_info", "decode": "decode_syndrome"}[phase]
+        real_bits, real = bench_module._random_bits, getattr(bench_module, name)
+        both_hold_a_block, drawn = threading.Barrier(2, timeout=10.0), set()
 
-        def decode_or_fail(*args):
+        def bits_once_both_hold_a_block(*args):
+            if threading.get_ident() not in drawn:
+                drawn.add(threading.get_ident())
+                both_hold_a_block.wait()
+            return real_bits(*args)
+
+        def run_or_fail(*args):
             calling = threading.current_thread() is threading.main_thread()
-            if calling:
-                assert other_started.wait(10.0)
-            else:
-                other_started.set()
             if calling == (failing == "calling"):
                 raise MemoryError(f"{failing} worker")
             return real(*args)
 
-        monkeypatch.setattr(bench_module, "decode_syndrome", decode_or_fail)
+        monkeypatch.setattr(bench_module, "_random_bits", bits_once_both_hold_a_block)
+        monkeypatch.setattr(bench_module, name, run_or_fail)
         x, y = gaussian_pairs(0.5, 4 * code512.n, seed=45)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match=f"{failing} worker"):
             bench(x, y, code512, 4, seed=46)
         assert threading.active_count() == threads
+
+    def test_a_worker_prepares_the_next_block_while_the_other_decodes(self, code512,
+                                                                      monkeypatch):
+        # the first decode holds its worker until the third block's bits are
+        # drawn, which the other worker does once it has decoded its own
+        # block.  A schedule that prepares blocks a round at a time draws
+        # them only once both of the first round's decodes have ended
+        workers(monkeypatch, 2)
+        real_bits, real_decode = bench_module._random_bits, bench_module.decode_syndrome
+        draws, decodes, third_drawn = itertools.count(1), itertools.count(1), threading.Event()
+
+        def counted_bits(*args):
+            if next(draws) == 3:
+                third_drawn.set()
+            return real_bits(*args)
+
+        def decode_after_the_third_draw(*args):
+            if next(decodes) == 1:
+                assert third_drawn.wait(5.0), "no block was prepared during the first decode"
+            return real_decode(*args)
+
+        monkeypatch.setattr(bench_module, "_random_bits", counted_bits)
+        monkeypatch.setattr(bench_module, "decode_syndrome", decode_after_the_third_draw)
+        x, y = gaussian_pairs(1.0, 3 * code512.n, seed=53)
+        rep = bench(x, y, code512, 3, seed=54, snr=1.0)
+        assert rep.blocks_total == 3
 
     def test_interrupt_stops_the_other_worker(self, code512, monkeypatch):
         # a Ctrl-C in the calling thread reaches the caller, and the other
